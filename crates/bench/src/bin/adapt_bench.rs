@@ -37,8 +37,8 @@ use protolat_core::config::{StackKind, Version};
 use protolat_core::sweep::{AdaptSpec, SweepEngine};
 use protocols::StackOptions;
 use traffic::{
-    run_adaptive, run_traffic, AdaptConfig, Candidate, LocalPlanCache, Phase, PhasePlan,
-    ReplayService, StreamKind, TrafficConfig,
+    AdaptConfig, AdaptSetup, Candidate, LocalPlanCache, Phase, PhasePlan, ReplayService, Run,
+    StreamKind, TrafficConfig,
 };
 
 const WORKERS: u32 = 4;
@@ -271,21 +271,21 @@ fn main() {
         best
     };
     let static_secs = best_secs(&mut || {
-        run_traffic(&cfg, |_| ReplayService::new(&img, &episode)).expect("must drain");
+        Run::new(&cfg).serve(|_| ReplayService::new(&img, &episode)).expect("must drain");
     });
     let sampled_secs = best_secs(&mut || {
         let candidates = [Candidate::new("STD", std::sync::Arc::clone(&img))];
-        run_adaptive(
-            &cfg,
-            &adapt,
-            &program,
-            &episode,
-            &image_config,
-            &candidates,
-            0,
-            LocalPlanCache::default(),
-        )
-        .expect("must drain");
+        Run::new(&cfg)
+            .adaptive(AdaptSetup {
+                adapt,
+                program: &program,
+                episode: &episode,
+                image_config: &image_config,
+                candidates: &candidates,
+                initial: 0,
+                cache: LocalPlanCache::default(),
+            })
+            .expect("must drain");
     });
     let overhead_pct = (sampled_secs / static_secs - 1.0) * 100.0;
     println!(

@@ -30,8 +30,7 @@ use protolat_bench::harness::JsonReport;
 use protolat_core::config::{StackKind, Version};
 use protolat_core::sweep::{CapacityCurve, CapacityRamp, SweepEngine};
 use protocols::StackOptions;
-use traffic::runloop::reference;
-use traffic::{ReplayService, TrafficConfig};
+use traffic::{Plane, Run, TrafficConfig};
 
 /// The serving scenario (identical to `traffic_bench`'s cell scenario).
 const WORKERS: u32 = 4;
@@ -172,10 +171,10 @@ fn main() {
     // --- dispatch plane vs seed FIFO at the seed rate ------------------
     let seed_cfg = ramp.rung_config(SEED_RATE_MPS);
     let memoized = eng.traffic(StackKind::TcpIp, opts, 2, Version::Std, seed_cfg);
-    let img = eng.image(StackKind::TcpIp, opts, 2, Version::Std);
-    let episode = eng.tcpip(opts, 2).run.episodes.server_turn.clone();
-    let fifo = reference::run_traffic(&seed_cfg, |_| ReplayService::new(&img, &episode))
-        .expect("reference run must drain");
+    let fifo = eng
+        .serve(StackKind::TcpIp, opts, 2, Version::Std, Run::new(&seed_cfg).plane(Plane::SeedFifo))
+        .expect("reference run must drain")
+        .report;
     let seed_rate_bit_identical = *memoized == fifo;
     assert!(
         seed_rate_bit_identical,

@@ -36,9 +36,8 @@ use protolat_bench::harness::JsonReport;
 use protolat_core::config::{StackKind, Version};
 use protolat_core::sweep::{DemuxCell, DemuxSpec, SweepEngine};
 use protocols::StackOptions;
-use traffic::runloop::reference;
 use traffic::{
-    buckets_for_capacity, DemuxKey, PolicyKind, ReplayService, SessionTable, StreamKind,
+    buckets_for_capacity, DemuxKey, Plane, PolicyKind, Run, SessionTable, StreamKind,
     TrafficConfig, Zipf,
 };
 
@@ -187,10 +186,10 @@ fn main() {
     // --- dispatch plane vs seed FIFO on a stateful stream ---------------
     let conflict_cfg = DemuxSpec { base, policy: *winner, stream: adversarial }.config();
     let memoized = eng.traffic(stack, opts, 2, version, conflict_cfg);
-    let img = eng.image(stack, opts, 2, version);
-    let episode = eng.tcpip(opts, 2).run.episodes.server_turn.clone();
-    let fifo = reference::run_traffic(&conflict_cfg, |_| ReplayService::new(&img, &episode))
-        .expect("reference run must drain");
+    let fifo = eng
+        .serve(stack, opts, 2, version, Run::new(&conflict_cfg).plane(Plane::SeedFifo))
+        .expect("reference run must drain")
+        .report;
     assert!(
         *memoized == fifo,
         "dispatch plane diverged from runloop::reference on the conflict stream"

@@ -30,8 +30,7 @@ use protolat_bench::harness::JsonReport;
 use protolat_core::config::{StackKind, Version};
 use protolat_core::sweep::{SweepEngine, SweepJob};
 use protocols::StackOptions;
-use traffic::runloop::reference as seed_fifo;
-use traffic::{ReplayService, TrafficConfig, TrafficReport};
+use traffic::{Plane, ReplayService, Run, TrafficConfig, TrafficReport};
 
 /// Pending-event population for the microbenchmarks (the acceptance
 /// floor is "≥ 2x at ≥ 64k pending").
@@ -185,12 +184,12 @@ fn main() {
         let reports = prepared
             .iter()
             .map(|(_, _, img, episode)| {
-                if use_heap {
-                    seed_fifo::run_traffic_heap(&cfg, |_| ReplayService::new(img, episode))
-                } else {
-                    seed_fifo::run_traffic(&cfg, |_| ReplayService::new(img, episode))
-                }
-                .expect("serving scenario must drain")
+                let plane = if use_heap { Plane::SeedHeap } else { Plane::SeedFifo };
+                Run::new(&cfg)
+                    .plane(plane)
+                    .serve(|_| ReplayService::new(img, episode))
+                    .expect("serving scenario must drain")
+                    .report
             })
             .collect();
         (start.elapsed().as_secs_f64() * 1e3, reports)

@@ -28,9 +28,8 @@ use protolat_core::sweep::SweepEngine;
 use protocols::StackOptions;
 use trace::{encode, fingerprint, read_events, write_events, Format};
 use traffic::{
-    record_adaptive, record_traffic, replay_adaptive, replay_traffic, run_traffic, AdaptConfig,
-    Candidate, LocalPlanCache, Phase, PhasePlan, ReplayService, StreamKind, TraceStream,
-    TrafficConfig,
+    AdaptConfig, AdaptSetup, Candidate, LocalPlanCache, Phase, PhasePlan, ReplayService, Run,
+    StreamKind, TraceStream, TrafficConfig,
 };
 
 const WORKERS: u32 = 4;
@@ -92,15 +91,20 @@ fn main() {
     let mut json_bytes = 0u64;
     let mut probe_events = None;
     for (stack, version, img, episode) in &cells {
-        let (live, events) = record_traffic(&cfg, |_| ReplayService::new(img, episode))
+        let recorded = Run::new(&cfg)
+            .record()
+            .serve(|_| ReplayService::new(img, episode))
             .expect("serving scenario must drain");
+        let (live, events) = (recorded.report, recorded.events);
         total_events += events.len() as u64;
         bin_bytes += encode(&events, Format::Binary).len() as u64;
         json_bytes += encode(&events, Format::Json).len() as u64;
 
         let stream = TraceStream::from_events(&events).expect("recorded log must validate");
-        let replayed = replay_traffic(&stream, |_| ReplayService::new(img, episode))
-            .expect("recorded trace must replay");
+        let replayed = Run::replay(&stream)
+            .serve(|_| ReplayService::new(img, episode))
+            .expect("recorded trace must replay")
+            .report;
         if replayed != live {
             all_identical = false;
             println!("DIVERGED: {}/{}", stack_key(*stack), version.name());
@@ -130,8 +134,10 @@ fn main() {
         let stream = TraceStream::from_events(&probe_events)
             .expect("recorded log must validate")
             .with_executors(ex);
-        let replayed = replay_traffic(&stream, |_| ReplayService::new(&probe_img, &probe_episode))
-            .expect("recorded trace must replay");
+        let replayed = Run::replay(&stream)
+            .serve(|_| ReplayService::new(&probe_img, &probe_episode))
+            .expect("recorded trace must replay")
+            .report;
         if replayed != probe_live {
             executors_identical = false;
             println!("DIVERGED at {ex} executors");
@@ -191,29 +197,23 @@ fn main() {
         .map(|&v| Candidate::new(v.name(), eng.image(StackKind::TcpIp, opts, 2, v)))
         .collect();
     let image_config = Version::Bad.image_config();
-    let (a_live, a_report, a_events) = record_adaptive(
-        &adapt_cfg,
-        &adapt,
-        &program,
-        &probe_episode,
-        &image_config,
-        &candidates,
-        0,
-        LocalPlanCache::default(),
-    )
-    .expect("adaptive scenario must drain");
-    let a_stream = TraceStream::from_events(&a_events).expect("adaptive log must validate");
-    let adapt_verdicts_match = match replay_adaptive(
-        &a_stream,
-        &adapt,
-        &program,
-        &probe_episode,
-        &image_config,
-        &candidates,
-        0,
-        LocalPlanCache::default(),
-    ) {
-        Ok((r_live, r_report)) => r_live == a_live && r_report.swaps == a_report.swaps,
+    let setup = || AdaptSetup {
+        adapt,
+        program: &program,
+        episode: &probe_episode,
+        image_config: &image_config,
+        candidates: &candidates,
+        initial: 0,
+        cache: LocalPlanCache::default(),
+    };
+    let a_run = Run::new(&adapt_cfg)
+        .record()
+        .adaptive(setup())
+        .expect("adaptive scenario must drain");
+    let a_swaps = a_run.adapt.expect("an adaptive run reports its timeline").swaps;
+    let a_stream = TraceStream::from_events(&a_run.events).expect("adaptive log must validate");
+    let adapt_verdicts_match = match Run::replay(&a_stream).adaptive(setup()) {
+        Ok(r) => r.report == a_run.report && r.adapt.is_some_and(|a| a.swaps == a_swaps),
         Err(e) => {
             println!("ADAPTIVE REPLAY FAILED: {e}");
             false
@@ -221,7 +221,7 @@ fn main() {
     };
     println!(
         "adaptive verdicts: {} swaps recorded, replay {}",
-        a_report.swaps.len(),
+        a_swaps.len(),
         if adapt_verdicts_match { "matched" } else { "DIVERGED" }
     );
 
@@ -229,14 +229,17 @@ fn main() {
     let live_pass = || {
         let t = Instant::now();
         for (_, _, img, episode) in &cells {
-            run_traffic(&cfg, |_| ReplayService::new(img, episode)).expect("must drain");
+            Run::new(&cfg).serve(|_| ReplayService::new(img, episode)).expect("must drain");
         }
         t.elapsed().as_secs_f64()
     };
     let record_pass = || {
         let t = Instant::now();
         for (_, _, img, episode) in &cells {
-            record_traffic(&cfg, |_| ReplayService::new(img, episode)).expect("must drain");
+            Run::new(&cfg)
+                .record()
+                .serve(|_| ReplayService::new(img, episode))
+                .expect("must drain");
         }
         t.elapsed().as_secs_f64()
     };
@@ -276,7 +279,7 @@ fn main() {
         .text("executor_probe", format_args!("{EXECUTORS:?}"))
         .field("executor_bit_identical", u32::from(executors_identical))
         .field("file_roundtrip_ok", u32::from(files_roundtrip))
-        .field("adapt_swaps", a_report.swaps.len())
+        .field("adapt_swaps", a_swaps.len())
         .field("adapt_verdicts_match", u32::from(adapt_verdicts_match));
     if !smoke {
         // Wall-clock fields only in full mode: the smoke contract is
@@ -292,7 +295,7 @@ fn main() {
     assert!(all_identical, "every recorded cell must replay bit-identically");
     assert!(executors_identical, "replay must be executor-invariant");
     assert!(files_roundtrip, "both trace codecs must round-trip through files");
-    assert!(!a_report.swaps.is_empty(), "the adaptive probe must actually swap");
+    assert!(!a_swaps.is_empty(), "the adaptive probe must actually swap");
     assert!(adapt_verdicts_match, "adaptive replay must re-derive the recorded verdicts");
     if !smoke {
         assert!(

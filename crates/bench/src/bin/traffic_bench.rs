@@ -20,7 +20,7 @@ use protolat_bench::harness::JsonReport;
 use protolat_core::config::{StackKind, Version};
 use protolat_core::sweep::SweepEngine;
 use protocols::StackOptions;
-use traffic::{run_traffic, ReplayService, TrafficConfig, TrafficReport, WirePath};
+use traffic::{ReplayService, Run, TrafficConfig, TrafficReport, WirePath};
 
 /// The serving scenario every cell is measured under.
 const WORKERS: u32 = 4;
@@ -91,8 +91,10 @@ fn main() {
     let probe_cell = eng.traffic(StackKind::TcpIp, opts, 2, Version::Std, cfg);
     let img = eng.image(StackKind::TcpIp, opts, 2, Version::Std);
     let episode = eng.tcpip(opts, 2).run.episodes.server_turn.clone();
-    let rerun = run_traffic(&cfg, |_| ReplayService::new(&img, &episode))
-        .expect("serving scenario must drain");
+    let rerun = Run::new(&cfg)
+        .serve(|_| ReplayService::new(&img, &episode))
+        .expect("serving scenario must drain")
+        .report;
     assert_eq!(
         *probe_cell, rerun,
         "a fixed (seed, workers) run must be bit-reproducible"
@@ -106,8 +108,10 @@ fn main() {
             .with_shards(8, 24)
             .with_theta(900)
             .with_seed(0x5CA1E);
-        run_traffic(&cfg, |_| ReplayService::new(&img, &episode))
+        Run::new(&cfg)
+            .serve(|_| ReplayService::new(&img, &episode))
             .expect("closed loop must drain")
+            .report
     };
     // --- offered vs achieved: the generator must not be the bottleneck --
     // Arrival timestamps are pre-drawn simulated times, so ring

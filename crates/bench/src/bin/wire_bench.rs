@@ -29,8 +29,7 @@ use protolat_bench::harness::JsonReport;
 use protocols::wire::codec::{self, PktSpec};
 use protocols::wire::reference;
 use trace::pcap::{PcapSink, PcapSource};
-use traffic::runloop::reference as runloop_reference;
-use traffic::{run_traffic, FixedService, TrafficConfig, TrafficReport, WirePath, WireStats};
+use traffic::{FixedService, Plane, Run, TrafficConfig, TrafficReport, WirePath, WireStats};
 
 const WORKERS: u32 = 3;
 const SESSIONS_PER_WORKER: u32 = 192;
@@ -152,18 +151,21 @@ fn main() {
         r.wire = WireStats::default();
         r
     };
-    let descriptor = runloop_reference::run_traffic(&base, svc).expect("descriptor run");
+    let descriptor =
+        Run::new(&base).plane(Plane::SeedFifo).serve(svc).expect("descriptor run").report;
     let mut wire_bit_identical = true;
     let mut reports = Vec::new();
     for path in [WirePath::ZeroCopy, WirePath::Reference] {
         let cfg = base.with_wire(path);
-        let fifo = runloop_reference::run_traffic(&cfg, svc).expect("reference-plane run");
+        let fifo =
+            Run::new(&cfg).plane(Plane::SeedFifo).serve(svc).expect("reference-plane run").report;
         if sans_wire(fifo.clone()) != descriptor {
             wire_bit_identical = false;
             println!("DIVERGED: {path:?} reference plane vs descriptor");
         }
         for executors in EXECUTORS {
-            let got = run_traffic(&cfg.with_executors(executors), svc).expect("dispatch run");
+            let got =
+                Run::new(&cfg.with_executors(executors)).serve(svc).expect("dispatch run").report;
             if got != fifo {
                 wire_bit_identical = false;
                 println!("DIVERGED: {path:?} dispatch plane at {executors} executors");

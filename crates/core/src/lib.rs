@@ -18,10 +18,13 @@
 //!   most once per process, with the canonical 6-version × 2-stack
 //!   sweep fanned out across scoped threads.
 //! * [`experiments`] — one driver per table/figure.
+//! * [`fixtures`] — deterministic artifacts generated from the stacks
+//!   (the checked-in pcap capture).
 //! * [`report`] — plain-text table rendering.
 
 pub mod config;
 pub mod experiments;
+pub mod fixtures;
 pub mod harness;
 pub mod report;
 pub mod sweep;

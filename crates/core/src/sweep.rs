@@ -32,12 +32,11 @@ use kcode::events::EventStream;
 use kcode::layout::LayoutStrategy;
 use kcode::{Image, LayoutPlan, NullSink, ReplayStats, Replayer};
 use protocols::StackOptions;
-use trace::TraceEvent;
 use traffic::workload::Scenario;
 use traffic::{
-    record_traffic, replay_traffic, run_adaptive, run_traffic, run_traffic_reference, AdaptConfig,
-    AdaptReport, Candidate, PlanCache, PolicyKind, ReplayService, StreamKind, TraceStream,
-    TrafficConfig, TrafficReport, DEMUX_CACHE_HIT_NS, DEMUX_CHAIN_HIT_NS, SESSION_SETUP_NS,
+    AdaptConfig, AdaptReport, AdaptSetup, Candidate, PlanCache, PolicyKind, ReplayError,
+    ReplayService, Run, Served, StreamKind, TraceStream, TrafficConfig, TrafficReport,
+    DEMUX_CACHE_HIT_NS, DEMUX_CHAIN_HIT_NS, SESSION_SETUP_NS,
 };
 
 use crate::config::{StackKind, Version};
@@ -421,7 +420,7 @@ impl PlanStore {
 }
 
 /// A [`PlanCache`] rooted at one cell prefix of the engine's plan
-/// store: adaptive runs inject this into [`traffic::run_adaptive`] so
+/// store: adaptive runs inject this into [`traffic::Run::adaptive`] so
 /// micro-positioned plans for recurring profile fingerprints are reused
 /// across runs and specs instead of re-synthesized.
 pub struct EnginePlanCache<'e> {
@@ -713,53 +712,30 @@ impl SweepEngine {
         cfg: TrafficConfig,
     ) -> Arc<TrafficReport> {
         self.traffics.get_or_compute((stack, opts, warmup, version, cfg), || {
-            let img = self.image(stack, opts, warmup, version);
-            let episode = self.server_episode(stack, opts, warmup);
-            let report = run_traffic(&cfg, |_worker| ReplayService::new(&img, &episode))
+            let served = self
+                .serve(stack, opts, warmup, version, Run::new(&cfg))
                 .expect("traffic scenario must drain within its event budget");
-            Arc::new(report)
+            Arc::new(served.report)
         })
     }
 
-    /// The traffic stage re-run on the seed binary-heap scheduler
-    /// (`netsim::engine::reference`) instead of the default timing
-    /// wheel.  Deliberately *not* memoized — it exists to prove
-    /// scheduler equivalence (and to time the reference engine), so it
-    /// must really recompute; it still shares the memoized image and
-    /// episode with [`SweepEngine::traffic`].
-    pub fn traffic_reference(
+    /// Serve `run` with each lane's [`ReplayService`] replaying the
+    /// cell's server-turn episode under the version's layout.
+    /// Deliberately *not* memoized — it exists for runs that must
+    /// really recompute (a seed plane proving equivalence, a recording
+    /// whose trace is the artifact); it still shares the memoized image
+    /// and episode with [`SweepEngine::traffic`].
+    pub fn serve(
         &self,
         stack: StackKind,
         opts: StackOptions,
         warmup: usize,
         version: Version,
-        cfg: TrafficConfig,
-    ) -> TrafficReport {
+        run: Run<'_>,
+    ) -> Result<Served, ReplayError> {
         let img = self.image(stack, opts, warmup, version);
         let episode = self.server_episode(stack, opts, warmup);
-        run_traffic_reference(&cfg, |_worker| ReplayService::new(&img, &episode))
-            .expect("traffic scenario must drain within its event budget")
-    }
-
-    /// The traffic stage run *recording*: the same serving run as
-    /// [`SweepEngine::traffic`] but with the capture tap on, returning
-    /// the report plus the complete trace-event log (ready for
-    /// [`trace::write_events`]).  Deliberately not memoized — the
-    /// caller wants the artifact itself, and `trace_bench` times this
-    /// path against the memo-bypassing live run to measure recording
-    /// overhead; it still shares the memoized image and episode.
-    pub fn traffic_recorded(
-        &self,
-        stack: StackKind,
-        opts: StackOptions,
-        warmup: usize,
-        version: Version,
-        cfg: TrafficConfig,
-    ) -> (TrafficReport, Vec<TraceEvent>) {
-        let img = self.image(stack, opts, warmup, version);
-        let episode = self.server_episode(stack, opts, warmup);
-        record_traffic(&cfg, |_worker| ReplayService::new(&img, &episode))
-            .expect("traffic scenario must drain within its event budget")
+        run.serve(|_worker| ReplayService::new(&img, &episode))
     }
 
     /// The memoized replay of a recorded trace against one cell's
@@ -778,11 +754,10 @@ impl SweepEngine {
     ) -> Arc<TrafficReport> {
         let key = (stack, opts, warmup, version, stream.fingerprint());
         self.replays.get_or_compute(key, || {
-            let img = self.image(stack, opts, warmup, version);
-            let episode = self.server_episode(stack, opts, warmup);
-            let report = replay_traffic(stream, |_worker| ReplayService::new(&img, &episode))
+            let served = self
+                .serve(stack, opts, warmup, version, Run::replay(stream))
                 .expect("recorded trace must replay without divergence");
-            Arc::new(report)
+            Arc::new(served.report)
         })
     }
 
@@ -937,7 +912,7 @@ impl SweepEngine {
     }
 
     /// A [`PlanCache`] rooted at this engine for one cell: inject into
-    /// [`traffic::run_adaptive`] to share JIT-synthesized plans across
+    /// [`traffic::Run::adaptive`] to share JIT-synthesized plans across
     /// runs (what [`SweepEngine::adapt`] does internally).
     pub fn plan_cache(
         &self,
@@ -992,18 +967,19 @@ impl SweepEngine {
             let episode = self.server_episode(stack, opts, warmup);
             let image_config = spec.initial.image_config();
             let cache = self.plan_cache(stack, opts, warmup, spec.initial);
-            let (report, adapt) = run_adaptive(
-                &spec.base,
-                &spec.adapt,
-                &program,
-                &episode,
-                &image_config,
-                &candidates,
-                initial,
-                cache,
-            )
-            .expect("adaptive scenario must drain within its event budget");
-            Arc::new(AdaptOutcome { report, adapt })
+            let served = Run::new(&spec.base)
+                .adaptive(AdaptSetup {
+                    adapt: spec.adapt,
+                    program: &program,
+                    episode: &episode,
+                    image_config: &image_config,
+                    candidates: &candidates,
+                    initial,
+                    cache,
+                })
+                .expect("adaptive scenario must drain within its event budget");
+            let adapt = served.adapt.expect("an adaptive run reports its timeline");
+            Arc::new(AdaptOutcome { report: served.report, adapt })
         })
     }
 

@@ -6,7 +6,7 @@ use kcode::program::ProgramBuilder;
 use kcode::{DataLayout, Program};
 use netsim::frame::MacAddr;
 use netsim::lance::LanceTiming;
-use protocols::driver::LanceModel;
+use protocols::driver::{HostParts, LanceModel};
 use protocols::libmodel::LibModels;
 use protocols::rpc::{RpcHost, RpcModel};
 use protocols::tcpip::{TcpIpHost, TcpIpModel};
@@ -41,20 +41,24 @@ impl TcpIpWorld {
         TcpIpWorld { program, lib, model, lance_model, data, opts }
     }
 
+    fn parts(&self, timing: LanceTiming) -> HostParts {
+        HostParts {
+            lance_model: self.lance_model.clone(),
+            lib: self.lib.clone(),
+            data: self.data.clone(),
+            opts: self.opts,
+            timing,
+        }
+    }
+
     /// Instantiate the client host.
     pub fn client(&self, timing: LanceTiming) -> TcpIpHost {
         TcpIpHost::new(
             "client",
             self.model.clone(),
-            self.lance_model.clone(),
-            self.lib.clone(),
-            self.data.clone(),
-            self.opts,
-            CLIENT_IP,
-            SERVER_IP,
-            CLIENT_MAC,
-            SERVER_MAC,
-            timing,
+            self.parts(timing),
+            (CLIENT_IP, SERVER_IP),
+            (CLIENT_MAC, SERVER_MAC),
         )
     }
 
@@ -63,15 +67,9 @@ impl TcpIpWorld {
         let mut h = TcpIpHost::new(
             "server",
             self.model.clone(),
-            self.lance_model.clone(),
-            self.lib.clone(),
-            self.data.clone(),
-            self.opts,
-            SERVER_IP,
-            CLIENT_IP,
-            SERVER_MAC,
-            CLIENT_MAC,
-            timing,
+            self.parts(timing),
+            (SERVER_IP, CLIENT_IP),
+            (SERVER_MAC, CLIENT_MAC),
         );
         h.echo_server = true;
         h
@@ -99,32 +97,23 @@ impl RpcWorld {
         RpcWorld { program, lib, model, lance_model, data, opts }
     }
 
-    pub fn client(&self, timing: LanceTiming) -> RpcHost {
-        RpcHost::new(
-            "client",
-            self.model.clone(),
-            self.lance_model.clone(),
-            self.lib.clone(),
-            self.data.clone(),
-            self.opts,
-            CLIENT_MAC,
-            SERVER_MAC,
+    fn parts(&self, timing: LanceTiming) -> HostParts {
+        HostParts {
+            lance_model: self.lance_model.clone(),
+            lib: self.lib.clone(),
+            data: self.data.clone(),
+            opts: self.opts,
             timing,
-        )
+        }
+    }
+
+    pub fn client(&self, timing: LanceTiming) -> RpcHost {
+        RpcHost::new("client", self.model.clone(), self.parts(timing), (CLIENT_MAC, SERVER_MAC))
     }
 
     pub fn server(&self, timing: LanceTiming) -> RpcHost {
-        let mut h = RpcHost::new(
-            "server",
-            self.model.clone(),
-            self.lance_model.clone(),
-            self.lib.clone(),
-            self.data.clone(),
-            self.opts,
-            SERVER_MAC,
-            CLIENT_MAC,
-            timing,
-        );
+        let parts = self.parts(timing);
+        let mut h = RpcHost::new("server", self.model.clone(), parts, (SERVER_MAC, CLIENT_MAC));
         h.is_server = true;
         h
     }

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use protocols::StackOptions;
 use protolat_core::{StackKind, SweepEngine, Version};
-use traffic::{run_traffic, ReplayService, TraceStream, TrafficConfig};
+use traffic::{run_traffic, Plane, ReplayService, Run, TraceStream, TrafficConfig};
 
 fn small_cfg() -> TrafficConfig {
     TrafficConfig::open_loop(2_000, 400, 48)
@@ -107,7 +107,10 @@ fn traffic_stage_agrees_across_schedulers() {
         for stack in [StackKind::TcpIp, StackKind::Rpc] {
             for version in [Version::Bad, Version::All] {
                 let wheel = eng.traffic(stack, opts, 2, version, cfg);
-                let heap = eng.traffic_reference(stack, opts, 2, version, cfg);
+                let heap = eng
+                    .serve(stack, opts, 2, version, Run::new(&cfg).plane(Plane::SeedHeap))
+                    .unwrap()
+                    .report;
                 assert_eq!(
                     *wheel, heap,
                     "{stack:?}/{version:?}: schedulers diverged"
@@ -127,8 +130,10 @@ fn replay_stage_is_memoized_and_bit_identical() {
     let eng = SweepEngine::new();
     let opts = StackOptions::improved();
     let cfg = small_cfg();
-    let (recorded, events) =
-        eng.traffic_recorded(StackKind::TcpIp, opts, 2, Version::All, cfg);
+    let (recorded, events) = eng
+        .serve(StackKind::TcpIp, opts, 2, Version::All, Run::new(&cfg).record())
+        .map(|s| (s.report, s.events))
+        .unwrap();
     assert_eq!(eng.counters().replays, 0, "recording is not a replay");
 
     let stream = TraceStream::from_events(&events).expect("recorded log must validate");

@@ -115,16 +115,16 @@ impl Machine {
     /// Produce a report from the current counters, for a trace of
     /// `instructions` dynamic instructions.
     pub fn report(&self, instructions: u64) -> RunReport {
-        RunReport::new(
+        RunReport {
             instructions,
-            self.cpu.cycles(),
-            self.mem.stall_cycles(),
-            self.mem.icache.stats,
-            self.mem.dcache_combined_stats(),
-            self.mem.bcache.stats,
-            self.mem.itlb.as_ref().map(|t| t.stats).unwrap_or_default(),
-            self.config.cpu.clock_mhz,
-        )
+            issue_cycles: self.cpu.cycles(),
+            stall_cycles: self.mem.stall_cycles(),
+            icache: self.mem.icache.stats,
+            dcache: self.mem.dcache_combined_stats(),
+            bcache: self.mem.bcache.stats,
+            itlb: self.mem.itlb.as_ref().map(|t| t.stats).unwrap_or_default(),
+            clock_mhz: self.config.cpu.clock_mhz,
+        }
     }
 
     /// Fully cold machine: caches invalidated, counters cleared.

@@ -27,29 +27,6 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        instructions: u64,
-        issue_cycles: u64,
-        stall_cycles: u64,
-        icache: CacheStats,
-        dcache: CacheStats,
-        bcache: CacheStats,
-        itlb: TlbStats,
-        clock_mhz: u64,
-    ) -> Self {
-        RunReport {
-            instructions,
-            issue_cycles,
-            stall_cycles,
-            icache,
-            dcache,
-            bcache,
-            itlb,
-            clock_mhz,
-        }
-    }
-
     /// Total cycles for the window.
     pub fn cycles(&self) -> u64 {
         self.issue_cycles + self.stall_cycles
@@ -109,16 +86,16 @@ mod tests {
 
     #[test]
     fn cpi_math() {
-        let r = RunReport::new(
-            1000,
-            1700,
-            1600,
-            stats(1000, 100, 10),
-            stats(400, 50, 5),
-            stats(150, 150, 0),
-            TlbStats::default(),
-            175,
-        );
+        let r = RunReport {
+            instructions: 1000,
+            issue_cycles: 1700,
+            stall_cycles: 1600,
+            icache: stats(1000, 100, 10),
+            dcache: stats(400, 50, 5),
+            bcache: stats(150, 150, 0),
+            itlb: TlbStats::default(),
+            clock_mhz: 175,
+        };
         assert!((r.icpi() - 1.7).abs() < 1e-9);
         assert!((r.mcpi() - 1.6).abs() < 1e-9);
         assert!((r.cpi() - 3.3).abs() < 1e-9);
@@ -127,16 +104,16 @@ mod tests {
 
     #[test]
     fn merge_adds_fields() {
-        let mut a = RunReport::new(
-            10,
-            17,
-            3,
-            stats(10, 1, 0),
-            stats(4, 1, 0),
-            stats(2, 2, 0),
-            TlbStats::default(),
-            175,
-        );
+        let mut a = RunReport {
+            instructions: 10,
+            issue_cycles: 17,
+            stall_cycles: 3,
+            icache: stats(10, 1, 0),
+            dcache: stats(4, 1, 0),
+            bcache: stats(2, 2, 0),
+            itlb: TlbStats::default(),
+            clock_mhz: 175,
+        };
         let b = a;
         a.merge(&b);
         assert_eq!(a.instructions, 20);
@@ -146,16 +123,16 @@ mod tests {
 
     #[test]
     fn empty_report_is_zero_not_nan() {
-        let r = RunReport::new(
-            0,
-            0,
-            0,
-            CacheStats::default(),
-            CacheStats::default(),
-            CacheStats::default(),
-            TlbStats::default(),
-            175,
-        );
+        let r = RunReport {
+            instructions: 0,
+            issue_cycles: 0,
+            stall_cycles: 0,
+            icache: CacheStats::default(),
+            dcache: CacheStats::default(),
+            bcache: CacheStats::default(),
+            itlb: TlbStats::default(),
+            clock_mhz: 175,
+        };
         assert_eq!(r.cpi(), 0.0);
     }
 }

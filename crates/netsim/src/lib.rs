@@ -38,7 +38,6 @@ pub mod engine;
 pub mod fault;
 pub mod frame;
 pub mod lance;
-pub mod pcap;
 pub mod ring;
 pub mod rng;
 pub mod sample;
@@ -53,7 +52,6 @@ pub use sched::{CancelToken, EventQueue, Wheel};
 pub use fault::{FaultInjector, FaultStats, Fate};
 pub use frame::{EtherType, Frame, MacAddr};
 pub use lance::{Descriptor, LanceChip, LanceTiming, SparseMem};
-pub use pcap::PcapWriter;
 pub use wire::Wire;
 
 /// Nanoseconds — the simulation time unit.

@@ -18,6 +18,17 @@ use netsim::lance::{Descriptor, LanceChip, LanceTiming};
 use crate::libmodel::LibModels;
 use crate::options::StackOptions;
 
+/// What a host of either stack is assembled from besides its name,
+/// protocol model and addresses.
+#[derive(Debug, Clone)]
+pub struct HostParts {
+    pub lance_model: LanceModel,
+    pub lib: LibModels,
+    pub data: DataLayout,
+    pub opts: StackOptions,
+    pub timing: LanceTiming,
+}
+
 /// KIR model of the driver.
 #[derive(Debug, Clone)]
 pub struct LanceModel {

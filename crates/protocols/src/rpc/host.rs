@@ -7,9 +7,8 @@
 
 use std::collections::HashMap;
 
-use kcode::{DataLayout, Recorder};
+use kcode::Recorder;
 use netsim::frame::{EtherType, Frame, MacAddr};
-use netsim::lance::LanceTiming;
 use netsim::Ns;
 use xkernel::event::EventSet;
 use xkernel::map::{LookupKind, Map};
@@ -18,7 +17,7 @@ use xkernel::process::StackPool;
 
 use super::model::RpcModel;
 use super::wire::{BidHdr, BlastHdr, ChanHdr};
-use crate::driver::{LanceDriver, LanceModel};
+use crate::driver::{HostParts, LanceDriver};
 use crate::libmodel::LibModels;
 use crate::options::StackOptions;
 
@@ -93,18 +92,14 @@ pub struct RpcHost {
 }
 
 impl RpcHost {
-    #[allow(clippy::too_many_arguments)]
+    /// A host at `mac` talking to `peer_mac`.
     pub fn new(
         name: &'static str,
         model: RpcModel,
-        lance_model: LanceModel,
-        lib: LibModels,
-        data: DataLayout,
-        opts: StackOptions,
-        mac: MacAddr,
-        peer_mac: MacAddr,
-        timing: LanceTiming,
+        parts: HostParts,
+        (mac, peer_mac): (MacAddr, MacAddr),
     ) -> Self {
+        let HostParts { lance_model, lib, data, opts, timing } = parts;
         let lance = LanceDriver::new(lance_model, &data, timing);
         let pool_base = data.addr(lib.pool_region, 0) + 0x20000;
         let mut pool = MsgPool::new(16, 2048, pool_base);

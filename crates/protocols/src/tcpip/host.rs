@@ -10,7 +10,6 @@ use std::collections::HashMap;
 
 use kcode::{DataLayout, Recorder};
 use netsim::frame::{EtherType, Frame, MacAddr};
-use netsim::lance::LanceTiming;
 use netsim::Ns;
 use xkernel::event::EventSet;
 use xkernel::map::{LookupKind, Map};
@@ -20,7 +19,7 @@ use xkernel::process::StackPool;
 use super::hdr::{flags, seq, IpHdr, TcpHdr, IPPROTO_TCP};
 use super::model::TcpIpModel;
 use super::tcb::{RexmitEntry, Tcb, TcpState};
-use crate::driver::LanceDriver;
+use crate::driver::{HostParts, LanceDriver};
 use crate::libmodel::LibModels;
 use crate::options::StackOptions;
 
@@ -78,20 +77,15 @@ pub struct TcpIpHost {
 }
 
 impl TcpIpHost {
-    #[allow(clippy::too_many_arguments)]
+    /// A host at `(ip_addr, mac)` talking to `(peer_ip, peer_mac)`.
     pub fn new(
         name: &'static str,
         model: TcpIpModel,
-        lance_model: crate::driver::LanceModel,
-        lib: LibModels,
-        data: DataLayout,
-        opts: StackOptions,
-        ip_addr: u32,
-        peer_ip: u32,
-        mac: MacAddr,
-        peer_mac: MacAddr,
-        timing: LanceTiming,
+        parts: HostParts,
+        (ip_addr, peer_ip): (u32, u32),
+        (mac, peer_mac): (MacAddr, MacAddr),
     ) -> Self {
+        let HostParts { lance_model, lib, data, opts, timing } = parts;
         let lance = LanceDriver::new(lance_model, &data, timing);
         let pool = MsgPool::new(16, 2048, data.addr(lib.pool_region, 0) + 0x10000);
         let stacks = StackPool::new(8, 16 * 1024, data.stack_top());

@@ -2,9 +2,9 @@
 //!
 //! The wire data plane's frames are real bytes, so its traces can
 //! round-trip through the same format Wireshark and tcpdump speak.
-//! [`PcapSink`] writes files byte-compatible with netsim's in-memory
-//! `PcapWriter` (little-endian classic magic, version 2.4, snaplen
-//! 65535, Ethernet linktype, microsecond timestamps); [`PcapSource`]
+//! [`PcapSink`] writes little-endian classic pcap (version 2.4,
+//! snaplen 65535, Ethernet linktype, microsecond timestamps);
+//! [`PcapSource`]
 //! streams packets back out of any classic pcap — either byte order,
 //! microsecond or nanosecond magic — one record at a time, with typed
 //! errors carrying byte offsets (never a panic on corrupt input).
@@ -94,8 +94,7 @@ impl PcapPacket {
 // ------------------------------------------------------------------ sink
 
 /// Streaming pcap writer.  The global header goes out on construction;
-/// every [`record`](PcapSink::record) appends one packet.  Output is
-/// byte-compatible with `netsim::PcapWriter`.
+/// every [`record`](PcapSink::record) appends one packet.
 pub struct PcapSink<W: Write> {
     w: W,
     records: u64,
@@ -294,11 +293,27 @@ mod tests {
     }
 
     #[test]
-    fn sink_matches_netsim_writer_bytes() {
-        let mut w = netsim::PcapWriter::new();
-        w.record(1_500_000, &[0xAA; 64]);
-        w.record(2_000_000_000, &[0x55; 74]);
-        assert_eq!(sample_capture(), w.as_bytes(), "sink must stay byte-compatible");
+    fn sink_writes_the_classic_layout_byte_for_byte() {
+        // The global header alone: 24 bytes, LE microsecond magic
+        // first, Ethernet linktype last.
+        let empty = PcapSink::new(Vec::new()).unwrap().finish().unwrap();
+        assert_eq!(empty.len(), GLOBAL_HDR);
+        assert_eq!(u32::from_le_bytes(empty[0..4].try_into().unwrap()), MAGIC_US);
+        assert_eq!(u32::from_le_bytes(empty[20..24].try_into().unwrap()), LINKTYPE_ETHERNET);
+
+        // Records append: secs, usecs, captured and original length,
+        // then the frame bytes.
+        let mut sink = PcapSink::new(Vec::new()).unwrap();
+        sink.record(1_500_000, &[0xAA; 64]).unwrap(); // 1.5 ms
+        sink.record(2_000_000_000, &[4, 5]).unwrap(); // 2 s
+        let b = sink.finish().unwrap();
+        assert_eq!(b.len(), GLOBAL_HDR + RECORD_HDR + 64 + RECORD_HDR + 2);
+        let field = |at: usize| u32::from_le_bytes(b[at..at + 4].try_into().unwrap());
+        let first = GLOBAL_HDR;
+        let header = [field(first), field(first + 4), field(first + 8), field(first + 12)];
+        assert_eq!(header, [0, 1_500, 64, 64], "secs, usecs, cap len, orig len");
+        assert_eq!(&b[first + RECORD_HDR..first + RECORD_HDR + 64], &[0xAA; 64][..]);
+        assert_eq!(field(first + RECORD_HDR + 64), 2, "second record's seconds field");
     }
 
     #[test]

@@ -59,8 +59,8 @@ use netsim::{Ns, Overrun};
 use xkernel::map::LookupKind;
 
 use crate::capture::{Mode, RunOut};
-use crate::dispatch::run_dispatch_mode;
-use crate::runloop::{TrafficConfig, TrafficReport};
+use crate::run::{drive, Plane};
+use crate::runloop::TrafficConfig;
 use crate::service::{detect_cycle, ReplayService, Service, ServiceStats};
 
 /// Log₂ depth buckets in a quantized profile (depth 0 .. ~4k).
@@ -430,8 +430,9 @@ pub struct LaneAdapt {
     pub swaps: Vec<SwapEvent>,
 }
 
-/// The adaptive side of a [`run_adaptive`] result (the serving side is
-/// the ordinary [`TrafficReport`]).
+/// The adaptive side of a [`Run::adaptive`](crate::Run::adaptive)
+/// result (the serving side is the ordinary
+/// [`TrafficReport`](crate::TrafficReport)).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AdaptReport {
     /// Aggregated lane counters.
@@ -680,73 +681,55 @@ impl Drop for AdaptiveService<'_> {
     }
 }
 
-/// Run `cfg` with the full adaptive loop: per-lane
-/// [`AdaptiveService`]s starting on `candidates[initial]`, one shared
-/// background re-layout worker, plans cached in `cache`.  Returns the
-/// ordinary serving report plus the adaptation timeline.  The result is
-/// a pure function of the arguments — executor count, thread
-/// scheduling, and worker wall-clock speed cannot change it.
-#[allow(clippy::too_many_arguments)]
-pub fn run_adaptive(
-    cfg: &TrafficConfig,
-    adapt: &AdaptConfig,
-    program: &Arc<Program>,
-    episode: &EventStream,
-    image_config: &ImageConfig,
-    candidates: &[Candidate],
-    initial: usize,
-    cache: impl PlanCache,
-) -> Result<(TrafficReport, AdaptReport), Overrun> {
-    let (out, report) = run_adaptive_mode(
-        cfg,
-        adapt,
-        program,
-        episode,
-        image_config,
-        candidates,
-        initial,
-        cache,
-        Mode::Live,
-    )?;
-    Ok((out.report, report))
+/// Everything an adaptive run needs besides its traffic configuration:
+/// the loop tuning, the program and server-turn episode JIT candidates
+/// are synthesized from (under `image_config`), the static candidate
+/// pool with the lanes' starting index, and the store for synthesized
+/// plans.
+pub struct AdaptSetup<'a, C> {
+    pub adapt: AdaptConfig,
+    pub program: &'a Arc<Program>,
+    pub episode: &'a EventStream,
+    pub image_config: &'a ImageConfig,
+    pub candidates: &'a [Candidate],
+    pub initial: usize,
+    pub cache: C,
 }
 
-/// [`run_adaptive`] with a trace mode threaded through to the serving
-/// runner.  Under `Replay` the adaptation machinery still runs live —
-/// its verdicts are deterministic functions of the (replayed) arrivals
-/// and fates, so the capture layer validates them after the run.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_adaptive_mode(
+/// Drive `cfg` on `plane` with per-lane [`AdaptiveService`]s and one
+/// shared background re-layout worker, returning the lanes' adaptation
+/// records merged in lane order.  Under `Replay` the adaptation
+/// machinery still runs live — its verdicts are deterministic
+/// functions of the (replayed) arrivals and fates, so [`Run`](crate::Run)
+/// validates them after the run.
+pub(crate) fn serve_adaptive<C: PlanCache>(
     cfg: &TrafficConfig,
-    adapt: &AdaptConfig,
-    program: &Arc<Program>,
-    episode: &EventStream,
-    image_config: &ImageConfig,
-    candidates: &[Candidate],
-    initial: usize,
-    cache: impl PlanCache,
+    plane: Plane,
+    setup: AdaptSetup<'_, C>,
     mode: Mode,
 ) -> Result<(RunOut, AdaptReport), Overrun> {
+    let AdaptSetup { adapt, program, episode, image_config, candidates, initial, cache } = setup;
     assert!(initial < candidates.len(), "initial candidate out of range");
     let (req_tx, req_rx) = channel::<RelayoutRequest>();
     let sink: Arc<Mutex<Vec<LaneAdapt>>> = Arc::new(Mutex::new(Vec::new()));
 
     let (run, worker_stats) = thread::scope(|s| {
         let worker = s.spawn(|| {
-            relayout_worker(req_rx, program, episode, image_config, candidates, adapt, cache)
+            relayout_worker(req_rx, program, episode, image_config, candidates, &adapt, cache)
         });
         let sink_ref = &sink;
         let init = &candidates[initial];
         let req_tx_ref = &req_tx;
-        let run = run_dispatch_mode(
+        let run = drive(
             cfg,
+            plane,
             move |lane| {
                 AdaptiveService::new(
                     lane,
                     init,
                     initial as u64,
                     episode,
-                    *adapt,
+                    adapt,
                     Some(req_tx_ref.clone()),
                     Some(Arc::clone(sink_ref)),
                 )

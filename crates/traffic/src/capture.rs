@@ -2,7 +2,9 @@
 //!
 //! The `trace` crate owns the wire format; this module owns the
 //! *meaning* of a trace: which run-loop decisions are captured, in
-//! what order, and what replay consumes versus validates.
+//! what order, and what replay consumes versus validates.  A
+//! [`Run`](crate::Run) picks the [`Mode`] (`.record()`,
+//! `Run::replay`); the taps here do the rest on every plane.
 //!
 //! # The capture contract
 //!
@@ -11,9 +13,8 @@
 //! grouped by kind — arrivals, then RTO firings, then fates — each
 //! group in the lane's processing order, which is a pure function of
 //! `(config, lane index)` — the dispatch plane's bit-identity
-//! invariant.  A trace is therefore identical whichever execution
-//! plane produced it (dispatch, reference FIFO, reference heap) and
-//! whatever the executor count.
+//! invariant.  A trace is therefore identical whichever
+//! [`Plane`](crate::Plane) produced it and whatever the executor count.
 //!
 //! * **Consumed on replay** — `Arrival` (the workload draw: instant +
 //!   session rank) and `Fate` (the fault-injector verdict).  Replay
@@ -28,23 +29,17 @@
 //! generator and the closed-loop clients: it validates a log's
 //! structural invariants up front (config present, lanes in range,
 //! per-lane arrival counts and monotone times, fate counts) and then
-//! drives any runner through [`replay_traffic`] / [`replay_adaptive`].
+//! drives any plane through `Run::replay(&stream)`.
 use std::path::Path;
 use std::sync::Arc;
 
-use kcode::events::EventStream;
-use kcode::{ImageConfig, Program};
 use netsim::{Fate, Ns, Overrun};
 use trace::{read_events, ConfigRecord, PhaseRec, StreamRec, TraceError, TraceEvent};
 
-use crate::adapt::{
-    run_adaptive_mode, AdaptConfig, AdaptReport, Candidate, PlanCache, SwapEvent,
-};
-use crate::dispatch::run_dispatch_mode;
+use crate::adapt::SwapEvent;
 use crate::policy::PolicyKind;
-use crate::runloop::{reference, TrafficConfig, TrafficReport, WorkerOut};
+use crate::runloop::{TrafficConfig, TrafficReport, WorkerOut};
 use crate::wire::WirePath;
-use crate::service::Service;
 use crate::workload::{Phase, PhasePlan, Scenario, StreamKind};
 
 // ------------------------------------------------------------ lane taps
@@ -87,8 +82,9 @@ impl LaneLog {
     }
 }
 
-/// How a run interacts with the trace subsystem.  Threaded through
-/// every runner; `Live` is free (one enum discriminant per decision).
+/// How a run interacts with the trace subsystem.  Built once by
+/// [`Run`](crate::Run) and threaded through the plane it drives; `Live`
+/// is free (one enum discriminant per decision).
 #[derive(Clone)]
 pub(crate) enum Mode {
     Live,
@@ -254,7 +250,8 @@ pub(crate) struct RunOut {
 /// sequence (prefixed with the `Config` record when recording, so the
 /// log never has to be re-copied to front-load it), the first
 /// divergence wins.
-pub(crate) fn collect(mut outs: Vec<WorkerOut>, cfg: &TrafficConfig, recording: bool) -> RunOut {
+pub(crate) fn collect(mut outs: Vec<WorkerOut>, cfg: &TrafficConfig, mode: &Mode) -> RunOut {
+    let recording = matches!(mode, Mode::Record);
     let total: usize = outs.iter().map(|o| o.log.len()).sum();
     let mut events = Vec::with_capacity(total + usize::from(recording));
     if recording {
@@ -291,7 +288,7 @@ fn stream_from_rec(rec: &StreamRec) -> Result<StreamKind, TraceError> {
     })
 }
 
-fn invalid(what: String) -> TraceError {
+pub(crate) fn invalid(what: String) -> TraceError {
     TraceError::Invalid { what }
 }
 
@@ -421,6 +418,10 @@ pub fn config_from_record(rec: &ConfigRecord) -> Result<TrafficConfig, TraceErro
 
 // ------------------------------------------------------------ TraceStream
 
+/// Most lanes a trace with a zero per-lane quota may declare: such a
+/// log carries no arrivals to bound its lane count by.
+const MAX_IDLE_LANES: u32 = 1024;
+
 /// A validated, replayable trace: the third workload source.
 ///
 /// Construction checks the structural invariants a well-formed capture
@@ -445,6 +446,24 @@ impl TraceStream {
             None => return Err(invalid("trace is empty".into())),
         };
         let cfg = config_from_record(rec)?;
+        // Bound the lane count by what the log can fill before
+        // allocating a log per lane: the config record is untrusted.
+        if cfg.messages_per_worker > 0 {
+            let arrivals =
+                events.iter().filter(|e| matches!(e, TraceEvent::Arrival { .. })).count() as u64;
+            let quota = u64::from(cfg.workers) * u64::from(cfg.messages_per_worker);
+            if arrivals != quota {
+                return Err(invalid(format!(
+                    "trace has {arrivals} arrivals, config says {} workers x {}",
+                    cfg.workers, cfg.messages_per_worker
+                )));
+            }
+        } else if cfg.workers > MAX_IDLE_LANES {
+            return Err(invalid(format!(
+                "{} workers with no messages exceeds the {MAX_IDLE_LANES}-lane bound",
+                cfg.workers
+            )));
+        }
         let workers = cfg.workers as usize;
         let mut lanes = vec![LaneLog::default(); workers];
         let mut verdicts = Vec::new();
@@ -538,14 +557,14 @@ impl TraceStream {
         !self.verdicts.is_empty()
     }
 
-    fn mode(&self) -> Mode {
+    pub(crate) fn mode(&self) -> Mode {
         Mode::Replay(Arc::clone(&self.lanes))
     }
 }
 
-// ---------------------------------------------------------- entry points
+// ---------------------------------------------------------------- errors
 
-/// Why a replay failed.
+/// Why a [`Run`](crate::Run) failed.
 #[derive(Debug)]
 pub enum ReplayError {
     /// The underlying run blew its event budget.
@@ -568,88 +587,9 @@ impl std::fmt::Display for ReplayError {
 
 impl std::error::Error for ReplayError {}
 
-fn seal(out: RunOut) -> (TrafficReport, Vec<TraceEvent>) {
-    debug_assert!(
-        matches!(out.events.first(), Some(TraceEvent::Config(_))),
-        "recording runs must front-load the config record in collect()"
-    );
-    (out.report, out.events)
-}
-
-fn surface(out: RunOut) -> Result<TrafficReport, ReplayError> {
-    match out.diverged {
-        Some(d) => Err(ReplayError::Diverged(d)),
-        None => Ok(out.report),
-    }
-}
-
-/// Run `cfg` on the dispatch plane while capturing every RNG-driven
-/// decision.  Returns the ordinary report plus the complete event log
-/// (leading `Config` included), ready for [`trace::write_events`].
-pub fn record_traffic<S, F>(
-    cfg: &TrafficConfig,
-    make: F,
-) -> Result<(TrafficReport, Vec<TraceEvent>), Overrun>
-where
-    S: Service + Send,
-    F: Fn(u32) -> S + Sync,
-{
-    let out = run_dispatch_mode(cfg, make, Mode::Record)?;
-    Ok(seal(out))
-}
-
-/// [`record_traffic`] on the seed heap reference plane.  Exists to
-/// prove the trace itself is plane-independent: for any configuration
-/// the two event logs must be identical.
-pub fn record_traffic_reference<S, F>(
-    cfg: &TrafficConfig,
-    make: F,
-) -> Result<(TrafficReport, Vec<TraceEvent>), Overrun>
-where
-    S: Service,
-    F: Fn(u32) -> S + Sync,
-{
-    let out = reference::run_traffic_heap_mode(cfg, make, Mode::Record)?;
-    Ok(seal(out))
-}
-
-/// Replay a recorded trace through the dispatch plane: arrivals and
-/// fates come from the log, RTO firings are validated against it.  The
-/// returned report is bit-identical to the recording run's.
-pub fn replay_traffic<S, F>(stream: &TraceStream, make: F) -> Result<TrafficReport, ReplayError>
-where
-    S: Service + Send,
-    F: Fn(u32) -> S + Sync,
-{
-    if stream.has_verdicts() {
-        return Err(ReplayError::Trace(invalid(
-            "trace carries adapt verdicts; replay it with replay_adaptive".into(),
-        )));
-    }
-    let out = run_dispatch_mode(&stream.cfg, make, stream.mode()).map_err(ReplayError::Engine)?;
-    surface(out)
-}
-
-/// [`replay_traffic`] on the seed heap reference plane.
-pub fn replay_traffic_reference<S, F>(
-    stream: &TraceStream,
-    make: F,
-) -> Result<TrafficReport, ReplayError>
-where
-    S: Service,
-    F: Fn(u32) -> S + Sync,
-{
-    if stream.has_verdicts() {
-        return Err(ReplayError::Trace(invalid(
-            "trace carries adapt verdicts; replay it with replay_adaptive".into(),
-        )));
-    }
-    let out = reference::run_traffic_heap_mode(&stream.cfg, make, stream.mode())
-        .map_err(ReplayError::Engine)?;
-    surface(out)
-}
-
-fn verdict_events(swaps: &[SwapEvent]) -> impl Iterator<Item = TraceEvent> + '_ {
+/// A swap timeline as `Verdict` records, which a recording appends
+/// after the lane sequences.
+pub(crate) fn verdict_events(swaps: &[SwapEvent]) -> impl Iterator<Item = TraceEvent> + '_ {
     swaps.iter().map(|s| {
         TraceEvent::Verdict(Box::new(trace::VerdictRec {
             lane: s.lane,
@@ -660,74 +600,4 @@ fn verdict_events(swaps: &[SwapEvent]) -> impl Iterator<Item = TraceEvent> + '_ 
             noop: s.noop,
         }))
     })
-}
-
-/// Record a full adaptive run: the traffic capture plus one `Verdict`
-/// event per re-layout swap (lane-then-time ordered, after the lane
-/// sequences).
-#[allow(clippy::too_many_arguments)]
-pub fn record_adaptive(
-    cfg: &TrafficConfig,
-    adapt: &AdaptConfig,
-    program: &Arc<Program>,
-    episode: &EventStream,
-    image_config: &ImageConfig,
-    candidates: &[Candidate],
-    initial: usize,
-    cache: impl PlanCache,
-) -> Result<(TrafficReport, AdaptReport, Vec<TraceEvent>), Overrun> {
-    let (out, areport) = run_adaptive_mode(
-        cfg,
-        adapt,
-        program,
-        episode,
-        image_config,
-        candidates,
-        initial,
-        cache,
-        Mode::Record,
-    )?;
-    let (report, mut events) = seal(out);
-    events.extend(verdict_events(&areport.swaps));
-    Ok((report, areport, events))
-}
-
-/// Replay an adaptive trace: arrivals/fates are consumed from the log
-/// while the adaptation machinery (profiling windows, re-layout
-/// worker, swaps) runs live; the resulting swap timeline must equal
-/// the recorded verdicts exactly.
-#[allow(clippy::too_many_arguments)]
-pub fn replay_adaptive(
-    stream: &TraceStream,
-    adapt: &AdaptConfig,
-    program: &Arc<Program>,
-    episode: &EventStream,
-    image_config: &ImageConfig,
-    candidates: &[Candidate],
-    initial: usize,
-    cache: impl PlanCache,
-) -> Result<(TrafficReport, AdaptReport), ReplayError> {
-    let (out, areport) = run_adaptive_mode(
-        &stream.cfg,
-        adapt,
-        program,
-        episode,
-        image_config,
-        candidates,
-        initial,
-        cache,
-        stream.mode(),
-    )
-    .map_err(ReplayError::Engine)?;
-    if let Some(d) = out.diverged {
-        return Err(ReplayError::Diverged(d));
-    }
-    if areport.swaps != stream.verdicts {
-        return Err(ReplayError::Diverged(format!(
-            "adapt verdicts diverged: run produced {} swaps, trace records {}",
-            areport.swaps.len(),
-            stream.verdicts.len()
-        )));
-    }
-    Ok((out.report, areport))
 }

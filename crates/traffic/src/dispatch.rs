@@ -1,7 +1,7 @@
-//! The lock-free dispatch plane — the default execution of
-//! [`run_traffic`](crate::run_traffic).
+//! The lock-free dispatch plane — [`Plane::Dispatch`](crate::Plane),
+//! the default execution of a [`Run`](crate::Run).
 //!
-//! The seed loop ([`runloop::reference`](crate::runloop::reference))
+//! The seed loop (`runloop::reference`)
 //! pre-schedules every open-loop arrival into each lane's event engine
 //! and drains it on one thread per lane.  That couples workload
 //! generation to serving, caps parallelism at one thread per lane, and
@@ -38,7 +38,7 @@
 //! order means identical `schedule()` call order, hence identical
 //! relative tie-break sequence numbers — bit-identity follows by
 //! induction, for any executor count.  `traffic/tests/
-//! dispatch_equivalence.rs` pins this against both reference runners.
+//! dispatch_equivalence.rs` pins this against both seed planes.
 //!
 //! # Lane ownership and parking
 //!
@@ -68,7 +68,7 @@ use netsim::rng::SplitMix64;
 use netsim::{Engine, Ns, Overrun};
 
 use crate::capture::{collect, LaneLog, Mode, RunOut, Tap};
-use crate::runloop::{lane_stream, lane_streams, make_zipfs, Ev, TrafficConfig, TrafficReport, Worker};
+use crate::runloop::{lane_stream, lane_streams, make_zipfs, Ev, TrafficConfig, Worker};
 use crate::service::Service;
 use crate::workload::{exp_gap_ns, PhasedStream, Scenario, Zipf};
 
@@ -133,7 +133,7 @@ struct LaneSlot<S> {
 unsafe impl<S: Send> Sync for LaneSlot<S> {}
 
 /// Shared references every plane thread works from.
-struct Plane<'a, S> {
+struct Shared<'a, S> {
     slots: &'a [LaneSlot<S>],
     queues: &'a [MpscRing<u32>],
     abort: &'a AtomicBool,
@@ -141,12 +141,12 @@ struct Plane<'a, S> {
     error: &'a Mutex<Option<Overrun>>,
 }
 
-impl<S> Clone for Plane<'_, S> {
+impl<S> Clone for Shared<'_, S> {
     fn clone(&self) -> Self {
         *self
     }
 }
-impl<S> Copy for Plane<'_, S> {}
+impl<S> Copy for Shared<'_, S> {}
 
 /// What a lane did with its turn on an executor.
 enum Step {
@@ -232,7 +232,7 @@ fn step_lane<S: Service>(slot: &LaneSlot<S>, core: &mut LaneCore<S>) -> Step {
 /// Re-enqueue `lane` on its home injector.  Each injector is sized to
 /// hold every lane, and a lane id has at most one live entry, so the
 /// push cannot fail; the retry loop is belt-and-braces.
-fn push_lane<S>(plane: &Plane<'_, S>, lane: u32) {
+fn push_lane<S>(plane: &Shared<'_, S>, lane: u32) {
     let q = &plane.queues[lane as usize % plane.queues.len()];
     let mut v = lane;
     while let Err(back) = q.push(v) {
@@ -244,7 +244,7 @@ fn push_lane<S>(plane: &Plane<'_, S>, lane: u32) {
 
 /// Wake a parked lane: single-winner CAS, then hand it to its home
 /// injector.  A no-op (by design) for QUEUED/RUNNING/DONE lanes.
-fn wake<S>(plane: &Plane<'_, S>, lane: u32) {
+fn wake<S>(plane: &Shared<'_, S>, lane: u32) {
     let slot = &plane.slots[lane as usize];
     if slot
         .state
@@ -255,14 +255,14 @@ fn wake<S>(plane: &Plane<'_, S>, lane: u32) {
     }
 }
 
-fn retire<S>(plane: &Plane<'_, S>, slot: &LaneSlot<S>) {
+fn retire<S>(plane: &Shared<'_, S>, slot: &LaneSlot<S>) {
     slot.state.store(DONE, Ordering::Release);
     plane.done.fetch_add(1, Ordering::AcqRel);
 }
 
 /// Claim a QUEUED lane and drive it until it gives the executor a
 /// reason to move on.
-fn run_lane<S: Service>(plane: Plane<'_, S>, lane: u32) {
+fn run_lane<S: Service>(plane: Shared<'_, S>, lane: u32) {
     let slot = &plane.slots[lane as usize];
     if slot
         .state
@@ -323,7 +323,7 @@ fn run_lane<S: Service>(plane: Plane<'_, S>, lane: u32) {
 
 /// An executor: pop runnable lanes from its own injector, steal from
 /// peers' injectors when dry, spin-then-yield when everything is dry.
-fn executor<S: Service>(plane: Plane<'_, S>, idx: usize) {
+fn executor<S: Service>(plane: Shared<'_, S>, idx: usize) {
     let lanes = plane.slots.len();
     let nq = plane.queues.len();
     let mut spins = 0u32;
@@ -371,7 +371,7 @@ struct GenLane {
 /// [`GEN_BATCH`] arrivals at a time and batch-pushing them into each
 /// lane's ring; sets the lane's `gen_done` flag after its last push
 /// and then keeps nudging undone lanes (the liveness net).
-fn generator<S>(plane: Plane<'_, S>, mut gens: Vec<GenLane>, rate_mps: u64) {
+fn generator<S>(plane: Shared<'_, S>, mut gens: Vec<GenLane>, rate_mps: u64) {
     while !plane.abort.load(Ordering::Relaxed) {
         let mut live = false;
         for gl in &mut gens {
@@ -475,20 +475,11 @@ fn build_core<S: Service>(
     }
 }
 
-/// Run `cfg` on the dispatch plane.  See the module docs; the report
-/// is bit-identical to both reference runners for every configuration
+/// Run `cfg` on the dispatch plane (see the module docs) under `mode`:
+/// `Record` taps every lane, `Replay` feeds the generator from the
+/// recorded schedule and the lanes from the recorded fates.  The
+/// report is bit-identical to both seed planes for every configuration
 /// and executor count.
-pub(crate) fn run_dispatch<S, F>(cfg: &TrafficConfig, make: F) -> Result<TrafficReport, Overrun>
-where
-    S: Service + Send,
-    F: Fn(u32) -> S + Sync,
-{
-    Ok(run_dispatch_mode(cfg, make, Mode::Live)?.report)
-}
-
-/// [`run_dispatch`] with a trace mode threaded through: `Record` taps
-/// every lane, `Replay` feeds the generator from the recorded
-/// schedule and the lanes from the recorded fates.
 pub(crate) fn run_dispatch_mode<S, F>(
     cfg: &TrafficConfig,
     make: F,
@@ -574,7 +565,7 @@ where
     let abort = AtomicBool::new(false);
     let done = AtomicUsize::new(0);
     let error = Mutex::new(None);
-    let plane = Plane { slots: &slots, queues: &queues, abort: &abort, done: &done, error: &error };
+    let plane = Shared { slots: &slots, queues: &queues, abort: &abort, done: &done, error: &error };
 
     // Every lane starts QUEUED on its home injector.
     for i in 0..lanes {
@@ -594,5 +585,5 @@ where
         return Err(e);
     }
     let outs = slots.into_iter().map(|slot| slot.core.into_inner().w.finish()).collect();
-    Ok(collect(outs, cfg, matches!(mode, Mode::Record)))
+    Ok(collect(outs, cfg, &mode))
 }

@@ -30,8 +30,8 @@
 //!   per message (cold on session miss, warm on hit) with a
 //!   self-validating steady-state memo.
 //! * [`runloop`] — the lane (logical worker) serving pipeline and the
-//!   seed per-lane FIFO execution (`runloop::reference`); deterministic
-//!   for a fixed seed and lane count.
+//!   seed per-lane FIFO execution; deterministic for a fixed seed and
+//!   lane count.
 //! * [`wire`] — the wire data plane: in wire mode every send is
 //!   encoded to real Ethernet/IPv4/TCP bytes in a recycled pooled
 //!   buffer (`protocols::wire` + `netsim::buf`), the fault injector
@@ -40,14 +40,22 @@
 //!   encode/parse cost on the wall clock.
 //! * [`dispatch`] — the default execution: a lock-free dispatch plane
 //!   (generator→lane SPSC rings, MPSC injectors, lane work stealing)
-//!   that runs the identical lane code bit-identically to the
-//!   reference for any executor count.
+//!   that runs the identical lane code bit-identically to the seed
+//!   FIFO for any executor count.
+//! * [`adapt`] — online profile-guided re-layout: per-lane sampling
+//!   profilers, a background re-layout worker and epoch-based hot swaps.
+//! * [`capture`] — record/replay semantics over the `trace` crate's
+//!   wire format, with [`TraceStream`] as a replayable workload source.
+//! * [`run`] — the single way to run traffic: [`Run`] composes a
+//!   source, an optional recording tap, a [`Plane`] and a service, and
+//!   returns one [`Served`].
 
 pub mod adapt;
 pub mod capture;
 pub mod dispatch;
 pub mod hist;
 pub mod policy;
+pub mod run;
 pub mod runloop;
 pub mod service;
 pub mod session;
@@ -55,21 +63,18 @@ pub mod wire;
 pub mod workload;
 
 pub use adapt::{
-    run_adaptive, AdaptConfig, AdaptCounters, AdaptReport, AdaptiveService, Candidate,
+    AdaptConfig, AdaptCounters, AdaptReport, AdaptSetup, AdaptiveService, Candidate,
     LocalPlanCache, PlanCache, Profile, RelayoutStats, SwapEvent,
 };
-pub use capture::{
-    config_from_record, config_to_record, record_adaptive, record_traffic,
-    record_traffic_reference, replay_adaptive, replay_traffic, replay_traffic_reference,
-    ReplayError, TraceStream,
-};
+pub use capture::{config_from_record, config_to_record, ReplayError, TraceStream};
 pub use hist::{
     bucket_index, bucket_lower, bucket_upper, LatencyHistogram, WindowedHistogram, BUCKET_COUNT,
     SUB_BUCKET_BITS,
 };
+pub use run::{record_traffic, replay_traffic, run_traffic, Plane, Run, Served};
 pub use runloop::{
-    run_traffic, run_traffic_reference, TrafficConfig, TrafficReport, DEMUX_CACHE_HIT_NS,
-    DEMUX_CHAIN_HIT_NS, DUPLICATE_DELAY_NS, REORDER_DELAY_NS, RTO_NS, SESSION_SETUP_NS,
+    TrafficConfig, TrafficReport, DEMUX_CACHE_HIT_NS, DEMUX_CHAIN_HIT_NS, DUPLICATE_DELAY_NS,
+    REORDER_DELAY_NS, RTO_NS, SESSION_SETUP_NS,
 };
 pub use policy::{cache_slot, DemuxCache, PolicyKind};
 pub use service::{detect_cycle, FixedService, ReplayService, Service, ServiceStats, MAX_PERIOD};

@@ -1,29 +1,30 @@
 //! The multi-worker serving loop.
 //!
-//! [`run_traffic`] partitions sessions across *lanes* (logical
-//! workers); each lane owns its full serving pipeline — a
-//! [`netsim::Engine`] event queue, a seeded [`FaultInjector`], a
-//! sharded [`SessionTable`] and a [`Service`] (normally the
-//! machine-model [`ReplayService`]) — and replays its share of the
-//! workload independently.  Lanes share *nothing* mutable, and every
-//! lane's randomness is derived from `(seed, lane index)`, so a run is
-//! bit-reproducible for a fixed seed and lane count regardless of
-//! thread scheduling; per-lane histograms and counters merge in
-//! lane-index order at the end.
+//! A run partitions sessions across *lanes* (logical workers); each
+//! lane owns its full serving pipeline — a [`netsim::Engine`] event
+//! queue, a seeded [`FaultInjector`], a sharded [`SessionTable`] and a
+//! [`Service`] (normally the machine-model [`ReplayService`]) — and
+//! replays its share of the workload independently.  Lanes share
+//! *nothing* mutable, and every lane's randomness is derived from
+//! `(seed, lane index)`, so a run is bit-reproducible for a fixed seed
+//! and lane count regardless of thread scheduling; per-lane histograms
+//! and counters merge in lane-index order at the end.
 //!
-//! Two executions of the identical lane code exist:
+//! [`Run`](crate::Run) executes the identical lane code on one of
+//! three [`Plane`](crate::Plane)s:
 //!
-//! * the **dispatch plane** ([`crate::dispatch`], the default behind
-//!   [`run_traffic`]) — a workload-generator thread feeds each lane
-//!   through a bounded lock-free SPSC ring, executor threads claim
-//!   runnable lanes from MPSC injector rings and *steal* from peers'
-//!   injectors when their own runs dry;
+//! * the **dispatch plane** ([`crate::dispatch`], the default) — a
+//!   workload-generator thread feeds each lane through a bounded
+//!   lock-free SPSC ring, executor threads claim runnable lanes from
+//!   MPSC injector rings and *steal* from peers' injectors when their
+//!   own runs dry;
 //! * the **seed FIFO** ([`reference`]) — one thread per lane
 //!   pre-schedules the whole arrival schedule into the lane's engine
-//!   and drains it single-threadedly.
+//!   and drains it single-threadedly, on the timing wheel or on the
+//!   seed binary heap.
 //!
-//! The two must produce bit-identical [`TrafficReport`]s; the suite in
-//! `traffic/tests/dispatch_equivalence.rs` pins that down across
+//! All three must produce bit-identical [`TrafficReport`]s; the suite
+//! in `traffic/tests/dispatch_equivalence.rs` pins that down across
 //! executor counts (the same twin pattern as the engine/layout/machine
 //! reference models).
 //!
@@ -49,14 +50,13 @@
 //! [`EventQueue::cancel`], while a drop or FCS-discarded corruption
 //! leaves it armed — the timer firing *is* the retransmission.  The
 //! lane code is generic over [`EventQueue`], so the timing wheel and
-//! the seed binary heap run identically ([`run_traffic_reference`]).
+//! the seed binary heap run identically.
 
 use std::sync::Arc;
 use std::thread;
 
-use netsim::engine::reference as heap;
 use netsim::rng::SplitMix64;
-use netsim::{Engine, EventQueue, Fate, FaultInjector, FaultStats, Ns, Overrun};
+use netsim::{EventQueue, Fate, FaultInjector, FaultStats, Ns, Overrun};
 use xkernel::map::LookupKind;
 
 use crate::capture::{collect, LaneLog, Mode, RunOut, Tap};
@@ -744,8 +744,9 @@ pub(crate) fn make_zipfs(cfg: &TrafficConfig) -> Vec<Arc<Zipf>> {
 /// The seed execution: one thread per lane, the whole arrival schedule
 /// pre-scheduled into the lane's engine, drained single-threadedly.
 /// This is the behavioural reference the dispatch plane must match
-/// bit-for-bit.
-pub mod reference {
+/// bit-for-bit ([`Plane::SeedFifo`](crate::Plane) on the timing wheel,
+/// [`Plane::SeedHeap`](crate::Plane) on the seed binary heap).
+pub(crate) mod reference {
     use super::*;
 
     pub(crate) fn run_worker<S, Q>(
@@ -795,7 +796,7 @@ pub mod reference {
 
     /// The scenario runner, generic over the event queue so the wheel
     /// and the reference heap execute the identical lane code.
-    fn run_traffic_sched<S, F, Q>(
+    pub(crate) fn run_traffic_sched<S, F, Q>(
         cfg: &TrafficConfig,
         make: F,
         mode: Mode,
@@ -806,87 +807,19 @@ pub mod reference {
         Q: EventQueue<Ev> + Default,
     {
         assert!(cfg.workers >= 1, "need at least one worker");
-        if cfg.workers == 1 {
-            let zipfs = make_zipfs(cfg);
-            return Ok(collect(vec![run_worker::<S, Q>(cfg, 0, make(0), &zipfs, &mode)?], cfg, matches!(mode, Mode::Record)));
-        }
-        let results: Vec<Result<WorkerOut, Overrun>> = thread::scope(|s| {
+        let outs = thread::scope(|s| {
             let handles: Vec<_> = (0..cfg.workers)
                 .map(|i| {
-                    let make = &make;
-                    let mode = &mode;
+                    let (make, mode) = (&make, &mode);
                     s.spawn(move || run_worker::<S, Q>(cfg, i, make(i), &make_zipfs(cfg), mode))
                 })
                 .collect();
+            // Lane order, so the first lane to overrun is the one reported.
             handles
                 .into_iter()
                 .map(|h| h.join().expect("traffic worker panicked"))
-                .collect()
-        });
-        let mut outs = Vec::with_capacity(results.len());
-        for r in results {
-            outs.push(r?);
-        }
-        Ok(collect(outs, cfg, matches!(mode, Mode::Record)))
+                .collect::<Result<Vec<WorkerOut>, Overrun>>()
+        })?;
+        Ok(collect(outs, cfg, &mode))
     }
-
-    /// Seed FIFO on the default timing-wheel engine — the dispatch
-    /// plane's bit-identity twin.
-    pub fn run_traffic<S, F>(cfg: &TrafficConfig, make: F) -> Result<TrafficReport, Overrun>
-    where
-        S: Service,
-        F: Fn(u32) -> S + Sync,
-    {
-        Ok(run_traffic_sched::<S, F, Engine<Ev>>(cfg, make, Mode::Live)?.report)
-    }
-
-    /// Seed FIFO on the seed binary-heap scheduler
-    /// (`netsim::engine::reference`) — the fully-seed execution.
-    pub fn run_traffic_heap<S, F>(cfg: &TrafficConfig, make: F) -> Result<TrafficReport, Overrun>
-    where
-        S: Service,
-        F: Fn(u32) -> S + Sync,
-    {
-        Ok(run_traffic_sched::<S, F, heap::Engine<Ev>>(cfg, make, Mode::Live)?.report)
-    }
-
-    /// Mode-aware seed-heap runner: the capture layer's reference
-    /// plane for proving traces are plane-independent.
-    pub(crate) fn run_traffic_heap_mode<S, F>(
-        cfg: &TrafficConfig,
-        make: F,
-        mode: Mode,
-    ) -> Result<RunOut, Overrun>
-    where
-        S: Service,
-        F: Fn(u32) -> S + Sync,
-    {
-        run_traffic_sched::<S, F, heap::Engine<Ev>>(cfg, make, mode)
-    }
-}
-
-/// Run the full multi-lane scenario on the dispatch plane (lock-free
-/// generator→lane rings, executor threads, work stealing) with the
-/// default timing-wheel engine inside each lane.  `make(worker_idx)`
-/// constructs each lane's service inside a per-lane setup thread; the
-/// merged report is a pure function of the configuration — executor
-/// count and thread scheduling cannot change a bit of it.
-pub fn run_traffic<S, F>(cfg: &TrafficConfig, make: F) -> Result<TrafficReport, Overrun>
-where
-    S: Service + Send,
-    F: Fn(u32) -> S + Sync,
-{
-    crate::dispatch::run_dispatch(cfg, make)
-}
-
-/// [`run_traffic`] on the seed per-lane FIFO and the seed binary-heap
-/// scheduler.  Exists to prove plane *and* scheduler equivalence: for
-/// any configuration this must return a report bit-identical to
-/// [`run_traffic`]'s.
-pub fn run_traffic_reference<S, F>(cfg: &TrafficConfig, make: F) -> Result<TrafficReport, Overrun>
-where
-    S: Service,
-    F: Fn(u32) -> S + Sync,
-{
-    reference::run_traffic_heap(cfg, make)
 }

@@ -16,9 +16,9 @@ use kcode::{
     Body, EventStream, Image, ImageConfig, LayoutStrategy, Program, ProgramBuilder, Recorder,
 };
 use traffic::{
-    run_adaptive, run_traffic, run_traffic_reference, AdaptConfig, AdaptReport, AdaptiveService,
-    Candidate, FixedService, LocalPlanCache, Phase, PhasePlan, ReplayService, StreamKind,
-    TrafficConfig, TrafficReport,
+    run_traffic, AdaptConfig, AdaptReport, AdaptSetup, AdaptiveService, Candidate, FixedService,
+    LocalPlanCache, Phase, PhasePlan, Plane, ReplayService, Run, StreamKind, TrafficConfig,
+    TrafficReport,
 };
 
 fn svc(_worker: u32) -> FixedService {
@@ -118,7 +118,7 @@ fn phased_run_is_reproducible_and_executor_invariant() {
         );
     }
     // The seed per-lane FIFO runloop agrees bit for bit too.
-    assert_eq!(run_traffic_reference(&cfg, svc).unwrap(), base);
+    assert_eq!(Run::new(&cfg).plane(Plane::SeedHeap).serve(svc).unwrap().report, base);
 }
 
 #[test]
@@ -160,17 +160,18 @@ fn stride_zero_adaptive_is_bit_identical_to_static() {
     let adapt = AdaptConfig { stride: 0, ..AdaptConfig::default() };
     let candidates =
         [Candidate::new("A", Arc::clone(&img)), Candidate::new("B", Arc::clone(&alt))];
-    let (report, adapt_report) = run_adaptive(
-        &cfg,
-        &adapt,
-        &program,
-        &episode,
-        &ImageConfig::plain("t"),
-        &candidates,
-        0,
-        LocalPlanCache::default(),
-    )
-    .expect("must drain");
+    let (report, adapt_report) = Run::new(&cfg)
+        .adaptive(AdaptSetup {
+            adapt,
+            program: &program,
+            episode: &episode,
+            image_config: &ImageConfig::plain("t"),
+            candidates: &candidates,
+            initial: 0,
+            cache: LocalPlanCache::default(),
+        })
+        .map(|s| (s.report, s.adapt.unwrap()))
+        .expect("must drain");
     let fixed = run_traffic(&cfg, |_| ReplayService::new(&img, &episode)).unwrap();
     assert_eq!(report, fixed, "sampling off: the adaptive wrapper must vanish");
     assert_eq!(adapt_report, AdaptReport::default(), "no samples, no requests, no swaps");
@@ -220,17 +221,18 @@ fn adaptive_run_is_deterministic_across_executors() {
     let run = |executors: u32| {
         let candidates =
             [Candidate::new("BAD", Arc::clone(&bad)), Candidate::new("GOOD", Arc::clone(&good))];
-        run_adaptive(
-            &cfg.with_executors(executors),
-            &adapt,
-            &program,
-            &episode,
-            &ImageConfig::plain("t"),
-            &candidates,
-            0,
-            LocalPlanCache::default(),
-        )
-        .expect("must drain")
+        Run::new(&cfg.with_executors(executors))
+            .adaptive(AdaptSetup {
+                adapt,
+                program: &program,
+                episode: &episode,
+                image_config: &ImageConfig::plain("t"),
+                candidates: &candidates,
+                initial: 0,
+                cache: LocalPlanCache::default(),
+            })
+            .map(|s| (s.report, s.adapt.unwrap()))
+            .expect("must drain")
     };
     let base = run(0);
     assert!(base.1.counters.samples > 0, "the loop must engage at this scale");

@@ -2,14 +2,13 @@
 //!
 //! `run_traffic` executes lanes on the lock-free dispatch plane
 //! (generator→lane SPSC rings, MPSC injectors, work stealing);
-//! `runloop::reference` is the seed per-lane FIFO.  For every
-//! configuration and every executor count the merged reports must be
-//! bit-identical — stealing moves whole lanes between executor
-//! threads, so *where* a lane runs can never leak into *what* it
-//! computes.
+//! `Plane::SeedFifo` / `Plane::SeedHeap` are the seed per-lane FIFO.
+//! For every configuration and every executor count the merged
+//! reports must be bit-identical — stealing moves whole lanes between
+//! executor threads, so *where* a lane runs can never leak into *what*
+//! it computes.
 
-use traffic::runloop::reference;
-use traffic::{run_traffic, run_traffic_reference, FixedService, TrafficConfig, TrafficReport};
+use traffic::{run_traffic, FixedService, Plane, Run, TrafficConfig, TrafficReport};
 
 fn svc(_worker: u32) -> FixedService {
     FixedService { cache_hit_ns: 9_000, chain_hit_ns: 11_000, miss_ns: 40_000 }
@@ -21,8 +20,10 @@ fn dispatch(cfg: &TrafficConfig, executors: u32) -> TrafficReport {
 }
 
 fn assert_all_executor_counts_match(cfg: &TrafficConfig) {
-    let fifo_wheel = reference::run_traffic(cfg, svc).expect("reference wheel run");
-    let fifo_heap = run_traffic_reference(cfg, svc).expect("reference heap run");
+    let fifo_wheel =
+        Run::new(cfg).plane(Plane::SeedFifo).serve(svc).expect("reference wheel run").report;
+    let fifo_heap =
+        Run::new(cfg).plane(Plane::SeedHeap).serve(svc).expect("reference heap run").report;
     assert_eq!(fifo_wheel, fifo_heap, "seed FIFO must agree across schedulers");
     for executors in [0, 1, 2, 3, cfg.workers] {
         let got = dispatch(cfg, executors);
@@ -78,7 +79,7 @@ fn more_lanes_than_executors_forces_stealing_and_stays_identical() {
         .with_workers(8)
         .with_seed(0xBEE5)
         .with_faults(2_500, 1_000, 2_000, 1_000);
-    let fifo = reference::run_traffic(&cfg, svc).expect("reference run");
+    let fifo = Run::new(&cfg).plane(Plane::SeedFifo).serve(svc).expect("reference run").report;
     assert_eq!(dispatch(&cfg, 2), fifo);
 }
 
@@ -99,5 +100,8 @@ fn zero_message_open_loop_terminates_empty() {
     let cfg = TrafficConfig::open_loop(10_000, 0, 16).with_workers(2);
     let r = run_traffic(&cfg, svc).expect("empty run");
     assert_eq!(r.completed, 0);
-    assert_eq!(r, reference::run_traffic(&cfg, svc).expect("reference empty run"));
+    assert_eq!(
+        r,
+        Run::new(&cfg).plane(Plane::SeedFifo).serve(svc).expect("reference empty run").report
+    );
 }

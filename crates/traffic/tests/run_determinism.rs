@@ -3,7 +3,7 @@
 //! and the misbehaving-scenario guard.
 
 use netsim::Overrun;
-use traffic::{run_traffic, run_traffic_reference, FixedService, TrafficConfig, TrafficReport};
+use traffic::{run_traffic, FixedService, Plane, Run, TrafficConfig, TrafficReport};
 
 fn svc(_worker: u32) -> FixedService {
     FixedService { cache_hit_ns: 9_000, chain_hit_ns: 11_000, miss_ns: 40_000 }
@@ -121,7 +121,7 @@ fn wheel_and_reference_heap_produce_identical_reports() {
         .with_faults(3_000, 1_500, 3_000, 1_500);
     assert_eq!(
         run_traffic(&open, svc).unwrap(),
-        run_traffic_reference(&open, svc).unwrap(),
+        Run::new(&open).plane(Plane::SeedHeap).serve(svc).unwrap().report,
         "open-loop reports diverged between wheel and reference heap"
     );
     let closed = TrafficConfig::closed_loop(8, 5_000, 1_000, 32)
@@ -130,7 +130,7 @@ fn wheel_and_reference_heap_produce_identical_reports() {
         .with_faults(3_000, 1_500, 3_000, 1_500);
     assert_eq!(
         run_traffic(&closed, svc).unwrap(),
-        run_traffic_reference(&closed, svc).unwrap(),
+        Run::new(&closed).plane(Plane::SeedHeap).serve(svc).unwrap().report,
         "closed-loop reports diverged between wheel and reference heap"
     );
 }

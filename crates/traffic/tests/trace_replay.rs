@@ -13,12 +13,11 @@ use kcode::{
     Body, EventStream, Image, ImageConfig, LayoutStrategy, Program, ProgramBuilder, Recorder,
 };
 use netsim::Fate;
-use trace::{read_events, write_events, TraceEvent};
+use trace::{read_events, write_events, TraceError, TraceEvent};
 use traffic::{
-    config_from_record, config_to_record, record_adaptive, record_traffic,
-    record_traffic_reference, replay_adaptive, replay_traffic, replay_traffic_reference,
-    run_traffic, AdaptConfig, Candidate, FixedService, LocalPlanCache, Phase, PhasePlan,
-    PolicyKind, ReplayError, ReplayService, StreamKind, TraceStream, TrafficConfig,
+    config_from_record, config_to_record, record_traffic, replay_traffic, run_traffic,
+    AdaptConfig, AdaptSetup, Candidate, FixedService, LocalPlanCache, Phase, PhasePlan, Plane,
+    PolicyKind, ReplayError, ReplayService, Run, StreamKind, TraceStream, TrafficConfig,
 };
 
 fn svc(_worker: u32) -> FixedService {
@@ -66,7 +65,8 @@ fn record_matches_live_and_replay_is_bit_identical_across_executors() {
         assert_eq!(replayed, live, "replay with {executors} executors diverged");
     }
     let stream = TraceStream::from_events(&events).unwrap();
-    let replayed = replay_traffic_reference(&stream, svc).expect("reference replay");
+    let replayed =
+        Run::replay(&stream).plane(Plane::SeedHeap).serve(svc).expect("reference replay").report;
     assert_eq!(replayed, live, "reference-plane replay diverged");
 }
 
@@ -75,7 +75,7 @@ fn trace_is_plane_and_executor_invariant() {
     let cfg = hostile_cfg();
     let (_, via_dispatch) = record_traffic(&cfg, svc).unwrap();
     let (_, via_one_exec) = record_traffic(&cfg.with_executors(1), svc).unwrap();
-    let (_, via_reference) = record_traffic_reference(&cfg, svc).unwrap();
+    let via_reference = Run::new(&cfg).plane(Plane::SeedHeap).record().serve(svc).unwrap().events;
     // Executor count is recorded as provenance, so logs from different
     // executor counts differ only in the config record.
     assert_eq!(via_dispatch[1..], via_one_exec[1..], "executor count leaked into the trace");
@@ -194,6 +194,82 @@ fn structurally_broken_traces_are_rejected() {
     assert!(TraceStream::from_events(&events).is_ok());
 }
 
+/// A binary trace whose only event is a config record declaring
+/// `workers` lanes of `messages` each, decoded the way a file would be.
+fn config_only_trace(messages: u32, workers: u32) -> Vec<TraceEvent> {
+    let mut rec = config_to_record(&TrafficConfig::open_loop(1_000, messages, 16));
+    rec.workers = workers;
+    let bytes = trace::encode(&[TraceEvent::Config(Box::new(rec))], trace::Format::Binary);
+    trace::decode(&bytes, trace::Format::Binary).expect("a well-formed binary trace")
+}
+
+#[test]
+fn lane_count_the_log_cannot_fill_is_rejected_before_allocating() {
+    // Quota > 0: the lane count is bounded by the arrivals present.
+    for (messages, workers) in [(4, u32::MAX), (0, u32::MAX)] {
+        match TraceStream::from_events(&config_only_trace(messages, workers)) {
+            Err(TraceError::Invalid { what }) => assert!(what.contains("workers"), "{what}"),
+            Err(e) => panic!("quota {messages}: expected Invalid, got {e}"),
+            Ok(_) => panic!("quota {messages}: {workers} empty lanes must not validate"),
+        }
+    }
+    // A genuinely empty run of a few lanes still validates.
+    let cfg = TrafficConfig::open_loop(10_000, 0, 16).with_workers(2);
+    let (_, events) = record_traffic(&cfg, svc).unwrap();
+    assert!(TraceStream::from_events(&events).is_ok());
+}
+
+/// Every combination `Run` composes — each execution plane ×
+/// {live, record, replay of the recording} × {static, adaptive} —
+/// yields the identical report, the identical recorded log and the
+/// identical swap verdicts.
+#[test]
+fn every_plane_source_and_service_combination_agrees() {
+    let (program, episode) = fixture();
+    let good = fixture_image(&program, &episode, LayoutStrategy::MicroPosition);
+    let bad = fixture_image(&program, &episode, LayoutStrategy::Linear);
+    let candidates =
+        [Candidate::new("BAD", Arc::clone(&bad)), Candidate::new("GOOD", Arc::clone(&good))];
+    let image_config = ImageConfig::plain("t");
+    let cfg = adaptive_cfg().with_faults(3_000, 1_500, 3_000, 1_500);
+    for adaptive in [false, true] {
+        let serve = |run: Run| {
+            if adaptive {
+                run.adaptive(AdaptSetup {
+                    adapt: engaged_adapt(),
+                    program: &program,
+                    episode: &episode,
+                    image_config: &image_config,
+                    candidates: &candidates,
+                    initial: 0,
+                    cache: LocalPlanCache::default(),
+                })
+            } else {
+                run.serve(|_| ReplayService::new(&good, &episode))
+            }
+        };
+        let recorded = serve(Run::new(&cfg).record()).expect("recording must drain");
+        let stream = TraceStream::from_events(&recorded.events).unwrap();
+        let swaps = recorded.adapt.as_ref().map(|a| a.swaps.clone());
+        assert_eq!(swaps.as_ref().is_some_and(|s| !s.is_empty()), adaptive, "fixture must swap");
+        for plane in [Plane::Dispatch, Plane::SeedFifo, Plane::SeedHeap] {
+            let cells = [
+                ("live", serve(Run::new(&cfg).plane(plane))),
+                ("record", serve(Run::new(&cfg).record().plane(plane))),
+                ("replay", serve(Run::replay(&stream).plane(plane))),
+            ];
+            for (source, served) in cells {
+                let cell = format!("{plane:?}/{source}/adaptive={adaptive}");
+                let served = served.unwrap_or_else(|e| panic!("{cell}: {e}"));
+                assert_eq!(served.report, recorded.report, "{cell}: report diverged");
+                let log = if source == "record" { &recorded.events[..] } else { &[] };
+                assert_eq!(served.events, log, "{cell}: event log diverged");
+                assert_eq!(served.adapt.map(|a| a.swaps), swaps, "{cell}: verdicts diverged");
+            }
+        }
+    }
+}
+
 #[test]
 fn plain_replay_rejects_adaptive_traces() {
     let (program, episode) = fixture();
@@ -203,17 +279,19 @@ fn plain_replay_rejects_adaptive_traces() {
     let adapt = engaged_adapt();
     let candidates =
         [Candidate::new("BAD", Arc::clone(&bad)), Candidate::new("GOOD", Arc::clone(&img))];
-    let (_, areport, events) = record_adaptive(
-        &cfg,
-        &adapt,
-        &program,
-        &episode,
-        &ImageConfig::plain("t"),
-        &candidates,
-        0,
-        LocalPlanCache::default(),
-    )
-    .expect("adaptive recording must drain");
+    let (_, areport, events) = Run::new(&cfg)
+        .record()
+        .adaptive(AdaptSetup {
+            adapt,
+            program: &program,
+            episode: &episode,
+            image_config: &ImageConfig::plain("t"),
+            candidates: &candidates,
+            initial: 0,
+            cache: LocalPlanCache::default(),
+        })
+        .map(|s| (s.report, s.adapt.unwrap(), s.events))
+        .expect("adaptive recording must drain");
     assert!(!areport.swaps.is_empty(), "fixture must actually swap");
     let stream = TraceStream::from_events(&events).unwrap();
     assert!(stream.has_verdicts());
@@ -237,33 +315,36 @@ fn adaptive_record_replay_validates_verdicts() {
         (candidates, initial)
     };
     let (candidates, initial) = run(0);
-    let (report, areport, events) = record_adaptive(
-        &cfg,
-        &adapt,
-        &program,
-        &episode,
-        &ImageConfig::plain("t"),
-        &candidates,
-        initial,
-        LocalPlanCache::default(),
-    )
-    .expect("adaptive recording must drain");
+    let (report, areport, events) = Run::new(&cfg)
+        .record()
+        .adaptive(AdaptSetup {
+            adapt,
+            program: &program,
+            episode: &episode,
+            image_config: &ImageConfig::plain("t"),
+            candidates: &candidates,
+            initial,
+            cache: LocalPlanCache::default(),
+        })
+        .map(|s| (s.report, s.adapt.unwrap(), s.events))
+        .expect("adaptive recording must drain");
     assert!(!areport.swaps.is_empty(), "fixture must engage the adapt loop");
 
     for executors in [1u32, 3] {
         let stream = TraceStream::from_events(&events).unwrap().with_executors(executors);
         let (candidates, initial) = run(0);
-        let (replayed, replay_adapt) = replay_adaptive(
-            &stream,
-            &adapt,
-            &program,
-            &episode,
-            &ImageConfig::plain("t"),
-            &candidates,
-            initial,
-            LocalPlanCache::default(),
-        )
-        .expect("adaptive replay must match the recorded verdicts");
+        let (replayed, replay_adapt) = Run::replay(&stream)
+            .adaptive(AdaptSetup {
+                adapt,
+                program: &program,
+                episode: &episode,
+                image_config: &ImageConfig::plain("t"),
+                candidates: &candidates,
+                initial,
+                cache: LocalPlanCache::default(),
+            })
+            .map(|s| (s.report, s.adapt.unwrap()))
+            .expect("adaptive replay must match the recorded verdicts");
         assert_eq!(replayed, report, "adaptive replay report diverged ({executors} executors)");
         assert_eq!(replay_adapt.swaps, areport.swaps);
         assert_eq!(replay_adapt.counters, areport.counters);
@@ -273,16 +354,15 @@ fn adaptive_record_replay_validates_verdicts() {
     // the verdict validation must catch it as divergence.
     let stream = TraceStream::from_events(&events).unwrap();
     let (candidates, _) = run(0);
-    match replay_adaptive(
-        &stream,
-        &adapt,
-        &program,
-        &episode,
-        &ImageConfig::plain("t"),
-        &candidates,
-        1,
-        LocalPlanCache::default(),
-    ) {
+    match Run::replay(&stream).adaptive(AdaptSetup {
+        adapt,
+        program: &program,
+        episode: &episode,
+        image_config: &ImageConfig::plain("t"),
+        candidates: &candidates,
+        initial: 1,
+        cache: LocalPlanCache::default(),
+    }) {
         Err(ReplayError::Diverged(_)) => {}
         Ok(_) => panic!("verdicts from a different initial candidate must not validate"),
         Err(e) => panic!("expected verdict divergence, got {e}"),

@@ -9,11 +9,9 @@
 //! wire mode must preserve the dispatch plane's executor-count
 //! invariance and the record/replay contract.
 
-use traffic::runloop::reference;
 use traffic::{
     config_from_record, config_to_record, record_traffic, replay_traffic, run_traffic,
-    run_traffic_reference, FixedService, TraceStream, TrafficConfig, TrafficReport, WirePath,
-    WireStats,
+    FixedService, Plane, Run, TraceStream, TrafficConfig, TrafficReport, WirePath, WireStats,
 };
 
 fn svc(_worker: u32) -> FixedService {
@@ -41,11 +39,20 @@ fn sans_wire(mut r: TrafficReport) -> TrafficReport {
 #[test]
 fn wire_paths_reproduce_the_descriptor_report_bit_for_bit() {
     let base = faulty_cfg();
-    let descriptor = reference::run_traffic(&base, svc).expect("descriptor run");
+    let descriptor =
+        Run::new(&base).plane(Plane::SeedFifo).serve(svc).expect("descriptor run").report;
     let zero_copy =
-        reference::run_traffic(&base.with_wire(WirePath::ZeroCopy), svc).expect("zero-copy run");
+        Run::new(&base.with_wire(WirePath::ZeroCopy))
+            .plane(Plane::SeedFifo)
+            .serve(svc)
+            .expect("zero-copy run")
+            .report;
     let reference_codec =
-        reference::run_traffic(&base.with_wire(WirePath::Reference), svc).expect("reference run");
+        Run::new(&base.with_wire(WirePath::Reference))
+            .plane(Plane::SeedFifo)
+            .serve(svc)
+            .expect("reference run")
+            .report;
 
     assert_eq!(
         sans_wire(zero_copy.clone()),
@@ -93,8 +100,10 @@ fn wire_paths_reproduce_the_descriptor_report_bit_for_bit() {
 fn dispatch_plane_stays_executor_invariant_in_wire_mode() {
     for path in [WirePath::ZeroCopy, WirePath::Reference] {
         let cfg = faulty_cfg().with_wire(path);
-        let fifo_wheel = reference::run_traffic(&cfg, svc).expect("reference wheel run");
-        let fifo_heap = run_traffic_reference(&cfg, svc).expect("reference heap run");
+        let fifo_wheel =
+            Run::new(&cfg).plane(Plane::SeedFifo).serve(svc).expect("reference wheel run").report;
+        let fifo_heap =
+            Run::new(&cfg).plane(Plane::SeedHeap).serve(svc).expect("reference heap run").report;
         assert_eq!(fifo_wheel, fifo_heap, "seed FIFO disagrees across schedulers ({path:?})");
         for executors in [1, 2, 3] {
             let got = run_traffic(&cfg.with_executors(executors), svc).expect("dispatch run");
@@ -113,9 +122,14 @@ fn closed_loop_wire_mode_matches_descriptor() {
         .with_seed(0xC10C)
         .with_faults(3_000, 2_000, 1_500, 1_000)
         .with_wire_faults(2_000, 1_500, 1_000);
-    let descriptor = reference::run_traffic(&base, svc).expect("descriptor run");
+    let descriptor =
+        Run::new(&base).plane(Plane::SeedFifo).serve(svc).expect("descriptor run").report;
     let zero_copy =
-        reference::run_traffic(&base.with_wire(WirePath::ZeroCopy), svc).expect("zero-copy run");
+        Run::new(&base.with_wire(WirePath::ZeroCopy))
+            .plane(Plane::SeedFifo)
+            .serve(svc)
+            .expect("zero-copy run")
+            .report;
     assert_eq!(sans_wire(zero_copy), descriptor);
 }
 

@@ -7,16 +7,18 @@
 //! ```
 //!
 //! Writes `tcpip_roundtrip.pcap` to the working directory — open it in
-//! Wireshark to see the SYN handshake and the ping-pong segments.
+//! Wireshark to see the SYN handshake and the ping-pong segments.  Run
+//! from the repository root, it rewrites the checked-in capture with
+//! identical bytes (`protolat_core::fixtures::tcpip_roundtrip_pcap`).
 
 use protolat::core::config::Version;
+use protolat::core::fixtures;
 use protolat::core::harness::run_tcpip;
 use protolat::core::timing::replay_trace;
 use protolat::core::world::TcpIpWorld;
 use protolat::kcode::Symbolizer;
-use protolat::netsim::lance::LanceTiming;
-use protolat::netsim::PcapWriter;
 use protolat::protocols::StackOptions;
+use trace::pcap::PcapSource;
 
 fn main() {
     // 1. Annotated instruction trace of the client's input path.
@@ -32,44 +34,19 @@ fn main() {
     );
     print!("{}", sym.annotate(&trace));
 
-    // 2. A pcap capture of a fresh exchange (handshake + 3 pings).
-    let world = TcpIpWorld::build(StackOptions::improved());
-    let timing = LanceTiming::dec3000_600();
-    let mut client = world.client(timing);
-    let mut server = world.server(timing);
-    let mut pcap = PcapWriter::new();
-    let mut now = 0u64;
-
-    server.listen();
-    client.connect(now);
-    for _ in 0..12 {
-        for b in client.take_tx() {
-            pcap.record(now, &b);
-            now += 105_000;
-            server.deliver_wire(&b, now);
-        }
-        for b in server.take_tx() {
-            pcap.record(now, &b);
-            now += 105_000;
-            client.deliver_wire(&b, now);
-        }
-        if client.is_established() && client.delivered.len() < 3 {
-            client.app_send(b"ping", now);
-        }
-        client.take_episode();
-        server.take_episode();
-        if client.delivered.len() >= 3 {
-            break;
-        }
-    }
-
+    // 2. A pcap capture of a fresh exchange (handshake + 3 pings) — the
+    //    same generator that produced the checked-in capture, so this
+    //    rewrites it with identical bytes.
+    let bytes = fixtures::tcpip_roundtrip_pcap();
+    let frames = PcapSource::new(&bytes[..])
+        .and_then(|mut src| src.collect_all())
+        .expect("generated capture parses")
+        .len();
     let path = std::path::Path::new("tcpip_roundtrip.pcap");
-    pcap.save(path).expect("write pcap");
+    std::fs::write(path, &bytes).expect("write pcap");
     println!(
-        "\nwrote {} frames ({} bytes) to {} — handshake plus {} echoed pings",
-        pcap.len(),
-        pcap.as_bytes().len(),
+        "\nwrote {frames} frames ({} bytes) to {} — handshake plus 3 echoed pings",
+        bytes.len(),
         path.display(),
-        client.delivered.len(),
     );
 }

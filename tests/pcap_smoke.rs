@@ -1,6 +1,7 @@
 //! End-to-end smoke test against the checked-in `tcpip_roundtrip.pcap`
-//! (written by `examples/trace_dump.rs` from a live TCP handshake +
-//! ping exchange between the two simulated stacks).
+//! (generated by `protolat_core::fixtures::tcpip_roundtrip_pcap` from a
+//! live TCP handshake + ping exchange between the two simulated stacks;
+//! `examples/trace_dump.rs` rewrites it).
 //!
 //! Contract: the wire data plane must ingest a real capture, demux
 //! every frame through the zero-copy byte parser (full integrity
@@ -19,6 +20,11 @@ fn capture_bytes() -> Vec<u8> {
 #[test]
 fn checked_in_capture_ingests_demuxes_and_reemits_byte_identically() {
     let original = capture_bytes();
+    assert_eq!(
+        original,
+        protolat::core::fixtures::tcpip_roundtrip_pcap(),
+        "checked-in capture must equal the generator's output"
+    );
     let mut src = PcapSource::new(&original[..]).expect("valid pcap header");
     assert_eq!(src.linktype(), LINKTYPE_ETHERNET);
     assert!(!src.swapped(), "trace_dump writes little-endian classic pcap");
