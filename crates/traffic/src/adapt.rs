@@ -21,9 +21,9 @@
 //!    The worker re-synthesizes a micro-positioned candidate from the
 //!    episode weighted by the observed warm depth
 //!    ([`kcode::layout::resynthesize_micro`]), scores it against the
-//!    static candidate pool with per-depth cost models
-//!    (limit-cycle-extrapolated, the same arithmetic as the
-//!    [`ReplayService`] memo), and answers with the argmin.  Responses
+//!    static candidate pool with per-depth cost models (the
+//!    [`ReplayService`]'s own frontier-memo curve, limit-cycle
+//!    extrapolated), and answers with the argmin.  Responses
 //!    are memoized by fingerprint — and synthesized plans by a
 //!    [`PlanCache`] the caller may back with `protolat-core`'s
 //!    SweepEngine memo — so every lane, in any arrival order, gets the
@@ -33,7 +33,7 @@
 //!    past that instant (deterministic simulation time, not wall
 //!    clock).  Swapping to the active candidate is a no-op; swapping to
 //!    a different one invalidates the incoming [`ReplayService`] — its
-//!    steady-state memo clears and the machine restarts cold, exactly
+//!    memo clears and the machine restarts cold, exactly
 //!    what a code-image change does to a real i-cache.  The memo then
 //!    re-learns and re-stabilizes under the new layout
 //!    ([`ServiceStats::invalidations`], `period_detections`).
@@ -50,10 +50,9 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread;
 
-use alpha_machine::Machine;
 use kcode::events::EventStream;
 use kcode::layout::{assemble_resynthesized, resynthesize_micro};
-use kcode::{Image, ImageConfig, LayoutPlan, Program, ReplayPlan, Replayer, TraceFingerprint};
+use kcode::{Image, ImageConfig, LayoutPlan, Program, TraceFingerprint};
 use netsim::sample::StrideSampler;
 use netsim::{Ns, Overrun};
 use xkernel::map::LookupKind;
@@ -61,7 +60,7 @@ use xkernel::map::LookupKind;
 use crate::capture::{Mode, RunOut};
 use crate::run::{drive, Plane};
 use crate::runloop::TrafficConfig;
-use crate::service::{detect_cycle, ReplayService, Service, ServiceStats};
+use crate::service::{CostCurve, ReplayService, Service, ServiceStats};
 
 /// Log₂ depth buckets in a quantized profile (depth 0 .. ~4k).
 const DEPTH_BUCKETS: usize = 12;
@@ -245,49 +244,15 @@ pub struct RelayoutStats {
     pub static_wins: u64,
 }
 
-/// Per-depth replay cost model for one candidate image: the same
-/// learn-until-limit-cycle arithmetic as the [`ReplayService`] memo,
-/// queried at arbitrary depth with table extrapolation.
-struct DepthCostModel {
-    image: Arc<Image>,
-    plan: ReplayPlan,
-    machine: Machine,
-    memo: Vec<u64>,
-    stable: Option<(usize, usize)>,
-}
+/// Per-depth replay cost model for one candidate image: the
+/// [`ReplayService`]'s own frontier-memo curve, queried at arbitrary
+/// depth (it learns up to the depth, or until the tail settles into a
+/// limit cycle and extrapolates from the table).
+struct DepthCostModel(CostCurve<Arc<Image>>);
 
 impl DepthCostModel {
     fn new(image: Arc<Image>) -> Self {
-        let plan = ReplayPlan::new(&image);
-        DepthCostModel {
-            image,
-            plan,
-            machine: Machine::dec3000_600(),
-            memo: Vec::new(),
-            stable: None,
-        }
-    }
-
-    /// Cycle cost of a replay at `depth` replays past a cold start.
-    fn cost(&mut self, episode: &EventStream, depth: usize) -> u64 {
-        loop {
-            if depth < self.memo.len() {
-                return self.memo[depth];
-            }
-            if let Some((base, period)) = self.stable {
-                return self.memo[base + (depth - base) % period];
-            }
-            if self.memo.is_empty() {
-                self.machine.reset();
-            }
-            let before = self.machine.cpu.cycles() + self.machine.mem.stall_cycles();
-            Replayer::with_plan(&self.image, &self.plan)
-                .replay_into_lean(episode, &mut self.machine)
-                .expect("episode must replay cleanly");
-            let after = self.machine.cpu.cycles() + self.machine.mem.stall_cycles();
-            self.memo.push(after - before);
-            self.stable = detect_cycle(&self.memo);
-        }
+        DepthCostModel(CostCurve::new(image))
     }
 
     /// Expected cost of serving the profile's depth mix on this
@@ -299,7 +264,7 @@ impl DepthCostModel {
             .iter()
             .enumerate()
             .filter(|(_, &w)| w > 0)
-            .map(|(b, &w)| w as u64 * self.cost(episode, bucket_rep(b)))
+            .map(|(b, &w)| w as u64 * self.0.cost(episode, bucket_rep(b)))
             .sum()
     }
 }

@@ -27,8 +27,9 @@
 //!   `session::reference`).
 //! * [`service`] — per-message service models; [`ReplayService`]
 //!   replays the server-turn kcode episode through the machine model
-//!   per message (cold on session miss, warm on hit) with a
-//!   self-validating steady-state memo.
+//!   per message (cold on session miss, warm on hit), simulating each
+//!   depth since a reset once and serving it from a frontier memo
+//!   after that.
 //! * [`runloop`] — the lane (logical worker) serving pipeline and the
 //!   seed per-lane FIFO execution; deterministic for a fixed seed and
 //!   lane count.

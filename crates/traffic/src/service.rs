@@ -9,24 +9,35 @@
 //! replays warm.
 //!
 //! Replaying a fixed episode on a deterministic machine makes the cycle
-//! count a pure function of replays-since-reset ("depth").  The service
-//! exploits that with a *self-validating memo*: it simulates and records
-//! the per-depth cycle cost until the tail settles into a repeating
-//! cycle (the caches have reached a fixed point or a short limit cycle
-//! — some layouts leave one line alternating between two sets, so the
-//! warm cost oscillates with period 2 forever rather than going flat),
-//! then serves every further message with table arithmetic — no
-//! simulation at all.  The memo is validated against live simulation
-//! while learning, and the memoized and unmemoized services produce
-//! identical reports (asserted in `protolat-core`'s traffic-stage
-//! test).
+//! count a pure function of replays-since-reset ("depth"); a test in
+//! `protolat-core`'s traffic stage pins that purity across images and
+//! arbitrary prior machine state.  The service therefore never simulates
+//! a depth twice.  It keeps a **frontier memo**: `memo[d]` is the cost
+//! at depth `d`, and the machine holds the state reached by
+//! `memo.len()` replays since a reset — the frontier.  A serve at a
+//! known depth (`d < memo.len()`, or any depth once the tail has
+//! settled) is table arithmetic; a serve at the frontier
+//! (`d == memo.len()`) simulates once, from the state the machine
+//! already holds, and pushes the cost.  Depth grows by at most one per
+//! serve, so it never passes the frontier, and the machine is reset only
+//! when the memo is empty.  Each push runs [`detect_cycle`]: once the
+//! tail settles into a repeating cycle (the caches have reached a fixed
+//! point or a short limit cycle — some layouts leave one line
+//! alternating between two sets, so the warm cost oscillates with
+//! period 2 forever rather than going flat) every depth is known and
+//! simulation stops for good.  The frontier service and a reference
+//! that resets on every miss and simulates every serve produce
+//! identical reports (asserted in `protolat-core`'s traffic-stage test,
+//! under steady and churning traffic).
 //!
+//! The same per-depth curve backs the adaptive layer's candidate
+//! scorer ([`crate::adapt`]), which queries it at arbitrary depth.
 //! [`ReplayService`] is generic over how it holds the image (`&Image`
-//! or `Arc<Image>`), so the adaptive re-layout service
-//! ([`crate::adapt`]) can own a pool of candidate services whose images
-//! outlive any one run scope.  [`ReplayService::invalidate`] supports
-//! hot layout swaps: it discards the learned memo and forces a cold
-//! restart, exactly what a code-image change does to a real i-cache.
+//! or `Arc<Image>`), so the adaptive re-layout service can own a pool of
+//! candidate services whose images outlive any one run scope.
+//! [`ReplayService::invalidate`] supports hot layout swaps: it discards
+//! the learned memo and forces a cold restart, exactly what a
+//! code-image change does to a real i-cache.
 
 use std::borrow::Borrow;
 use std::sync::Arc;
@@ -60,9 +71,10 @@ pub fn detect_cycle(memo: &[u64]) -> Option<(usize, usize)> {
 /// Counters a service exposes to the traffic report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
-    /// Messages served by actually simulating the replay.
+    /// Replays simulated: for a service, messages served by extending
+    /// the memo's frontier.
     pub simulated_replays: u64,
-    /// Messages served from the learned steady-state memo.
+    /// Messages served from the memo without simulating.
     pub fast_path_serves: u64,
     /// Memo invalidations (hot layout swaps / phase changes).
     pub invalidations: u64,
@@ -82,7 +94,7 @@ impl ServiceStats {
         }
     }
 
-    /// Fraction of serves answered from the steady-state memo.
+    /// Fraction of serves answered from the memo.
     pub fn memo_hit_rate(&self) -> f64 {
         let total = self.simulated_replays + self.fast_path_serves;
         if total == 0 {
@@ -133,31 +145,92 @@ impl Service for FixedService {
     }
 }
 
-/// The machine-model service: replays a server-turn episode per message
-/// against a laid-out image.  `H` is how the image is held — `&Image`
-/// (the default, for run-scoped borrows) or `Arc<Image>` (for adaptive
-/// candidate pools).
-pub struct ReplayService<'a, H: Borrow<Image> = &'a Image> {
+/// The per-depth replay cost of one image: `memo[d]` is the cycle cost
+/// of replaying the episode `d` replays past a machine reset.  The
+/// machine holds the state reached by `memo.len()` replays since its
+/// last reset, so learning the next depth costs exactly one replay.
+/// Shared by [`ReplayService`] and the adaptive scorer.
+pub(crate) struct CostCurve<H: Borrow<Image>> {
     image: H,
     /// Block plans precomputed once; each replay borrows them through
     /// [`Replayer::with_plan`], so swap-heavy services never rebuild.
     plan: ReplayPlan,
-    episode: &'a EventStream,
     machine: Machine,
-    clock_mhz: u64,
-    memoize: bool,
-    /// Set by [`invalidate`](Self::invalidate): the next serve starts
-    /// cold (machine reset, depth 0) regardless of lookup kind.
-    fresh: bool,
-    /// Replays since the last machine reset.
-    depth: usize,
-    /// `memo[d]` = cycle cost of the replay at depth `d` (learned by
-    /// simulation).
     memo: Vec<u64>,
     /// Once set as `(base, period)`, a depth `d >= base` costs
     /// `memo[base + (d - base) % period]` and simulation stops.
     stable: Option<(usize, usize)>,
     stats: ServiceStats,
+}
+
+impl<H: Borrow<Image>> CostCurve<H> {
+    pub(crate) fn new(image: H) -> Self {
+        let plan = ReplayPlan::new(image.borrow());
+        CostCurve {
+            image,
+            plan,
+            machine: Machine::dec3000_600(),
+            memo: Vec::new(),
+            stable: None,
+            stats: ServiceStats::default(),
+        }
+    }
+
+    /// Cycle cost of the replay at `depth` replays past a cold start:
+    /// from the table when known, otherwise by extending the frontier
+    /// one replay at a time until it is.
+    pub(crate) fn cost(&mut self, episode: &EventStream, depth: usize) -> u64 {
+        if let Some(cycles) = self.known(depth) {
+            self.stats.fast_path_serves += 1;
+            return cycles;
+        }
+        loop {
+            if self.memo.is_empty() {
+                self.machine.reset();
+            }
+            let before = self.machine.cpu.cycles() + self.machine.mem.stall_cycles();
+            Replayer::with_plan(self.image.borrow(), &self.plan)
+                .replay_into_lean(episode, &mut self.machine)
+                .expect("episode must replay cleanly");
+            let after = self.machine.cpu.cycles() + self.machine.mem.stall_cycles();
+            self.stats.simulated_replays += 1;
+            self.memo.push(after - before);
+            if let Some((base, period)) = detect_cycle(&self.memo) {
+                self.stable = Some((base, period));
+                self.stats.period_detections[period - 1] += 1;
+            }
+            if let Some(cycles) = self.known(depth) {
+                return cycles;
+            }
+        }
+    }
+
+    fn known(&self, depth: usize) -> Option<u64> {
+        if depth < self.memo.len() {
+            return Some(self.memo[depth]);
+        }
+        let (base, period) = self.stable?;
+        Some(self.memo[base + (depth - base) % period])
+    }
+
+    /// Forget every learned depth: the next cost query starts from a
+    /// reset machine.
+    fn invalidate(&mut self) {
+        self.memo.clear();
+        self.stable = None;
+        self.stats.invalidations += 1;
+    }
+}
+
+/// The machine-model service: replays a server-turn episode per message
+/// against a laid-out image.  `H` is how the image is held — `&Image`
+/// (the default, for run-scoped borrows) or `Arc<Image>` (for adaptive
+/// candidate pools).
+pub struct ReplayService<'a, H: Borrow<Image> = &'a Image> {
+    curve: CostCurve<H>,
+    episode: &'a EventStream,
+    /// Replays since the last machine reset.
+    depth: usize,
 }
 
 impl<'a> ReplayService<'a> {
@@ -175,53 +248,13 @@ impl<'a> ReplayService<'a, Arc<Image>> {
 
     /// The owning handle (cheap to clone for re-staging swaps).
     pub fn image_arc(&self) -> &Arc<Image> {
-        &self.image
+        &self.curve.image
     }
 }
 
 impl<'a, H: Borrow<Image>> ReplayService<'a, H> {
     fn with_image(image: H, episode: &'a EventStream) -> Self {
-        let plan = ReplayPlan::new(image.borrow());
-        ReplayService {
-            image,
-            plan,
-            episode,
-            machine: Machine::dec3000_600(),
-            clock_mhz: alpha_machine::MachineConfig::dec3000_600().cpu.clock_mhz,
-            memoize: true,
-            fresh: false,
-            depth: 0,
-            memo: Vec::new(),
-            stable: None,
-            stats: ServiceStats::default(),
-        }
-    }
-
-    /// Disable the steady-state memo: every message simulates.  The
-    /// reference mode the memoized service is validated against.
-    pub fn without_memoization(mut self) -> Self {
-        self.memoize = false;
-        self
-    }
-
-    /// The image this service replays against.
-    pub fn image(&self) -> &Image {
-        self.image.borrow()
-    }
-
-    /// Learned per-depth cycle costs (shared with the adaptive layer's
-    /// scoring model).
-    pub fn memo(&self) -> &[u64] {
-        &self.memo
-    }
-
-    /// Converged `(base, period)` limit cycle, if detected.
-    pub fn stable(&self) -> Option<(usize, usize)> {
-        self.stable
-    }
-
-    pub fn clock_mhz(&self) -> u64 {
-        self.clock_mhz
+        ReplayService { curve: CostCurve::new(image), episode, depth: 0 }
     }
 
     /// Declare the learned steady state void — the layout image the
@@ -230,75 +263,25 @@ impl<'a, H: Borrow<Image>> ReplayService<'a, H> {
     /// restarts, and the next serve begins from a cold machine whatever
     /// its lookup kind says.
     pub fn invalidate(&mut self) {
-        self.memo.clear();
-        self.stable = None;
-        self.fresh = true;
-        self.stats.invalidations += 1;
-    }
-
-    /// Cycle cost of one replay at the machine's current state.
-    fn simulate_once(&mut self) -> u64 {
-        let before = self.machine.cpu.cycles() + self.machine.mem.stall_cycles();
-        Replayer::with_plan(self.image.borrow(), &self.plan)
-            .replay_into_lean(self.episode, &mut self.machine)
-            .expect("episode must replay cleanly");
-        self.stats.simulated_replays += 1;
-        self.machine.cpu.cycles() + self.machine.mem.stall_cycles() - before
+        self.curve.invalidate();
     }
 }
 
 impl<H: Borrow<Image>> Service for ReplayService<'_, H> {
     fn serve(&mut self, kind: LookupKind, _now: Ns) -> Ns {
-        let miss = kind == LookupKind::Miss || std::mem::take(&mut self.fresh);
-        if miss {
-            self.depth = 0;
+        // An empty memo means a cold machine: the first serve, or the
+        // first after an invalidation.
+        self.depth = if kind == LookupKind::Miss || self.curve.memo.is_empty() {
+            0
         } else {
-            self.depth += 1;
-        }
-
-        if let Some((base, period)) = self.stable {
-            self.stats.fast_path_serves += 1;
-            let idx = if self.depth < base {
-                self.depth
-            } else {
-                base + (self.depth - base) % period
-            };
-            return cycles_to_ns(self.memo[idx], self.clock_mhz);
-        }
-
-        // Learning (or unmemoized) path: the machine must track depth
-        // exactly, so every serve simulates.
-        if miss {
-            self.machine.reset();
-        }
-        let cycles = self.simulate_once();
-
-        if self.depth < self.memo.len() {
-            if self.memo[self.depth] != cycles {
-                // Self-validation fallback: a deterministic machine
-                // never takes this branch, but if the observed cost ever
-                // disagrees with the memo, re-learn from here instead of
-                // serving stale entries.
-                self.memo[self.depth] = cycles;
-                self.memo.truncate(self.depth + 1);
-            }
-        } else {
-            debug_assert_eq!(self.depth, self.memo.len());
-            self.memo.push(cycles);
-        }
-
-        if self.memoize {
-            if let Some((base, period)) = detect_cycle(&self.memo) {
-                self.stable = Some((base, period));
-                self.stats.period_detections[period - 1] += 1;
-            }
-        }
-
-        cycles_to_ns(cycles, self.clock_mhz)
+            self.depth + 1
+        };
+        let cycles = self.curve.cost(self.episode, self.depth);
+        cycles_to_ns(cycles, self.curve.machine.config.cpu.clock_mhz)
     }
 
     fn stats(&self) -> ServiceStats {
-        self.stats
+        self.curve.stats
     }
 }
 
