@@ -8,16 +8,20 @@
 //! with one warm-up pass and automatic inner batching for kernels too
 //! fast to time one call at a time.  No statistics machinery beyond
 //! mean/min/max — these benches exist to rank configurations and catch
-//! large regressions, not to resolve nanoseconds.
+//! large regressions, not to resolve nanoseconds.  The `bench` runner's
+//! suites render their reports with [`JsonReport`] and time their
+//! baselines with the best-of timer [`best_secs`].
 
 use std::fmt::Display;
+use std::path::Path;
 use std::time::Instant;
 
 /// Ordered, dependency-free writer for the `BENCH_*.json` contract
-/// files every bench binary emits: insertion-ordered `"key": value`
-/// lines, one field per line, so `scripts/bench_smoke.sh` can grep/sed
-/// individual keys and two deterministic runs render byte-identical
-/// files.  Values are pre-rendered by the caller (numbers with explicit
+/// files every bench suite emits: insertion-ordered `"key": value`
+/// lines, one field per line, so a diff shows one changed key per line
+/// and two deterministic runs render byte-identical files (the
+/// runner's reproducibility probe compares the rendered bytes).
+/// Values are pre-rendered by the caller (numbers with explicit
 /// precision, booleans, nested arrays/objects as raw strings) — the
 /// writer owns only ordering, punctuation and the trailing-comma rule.
 #[derive(Debug, Clone, Default)]
@@ -63,11 +67,24 @@ impl JsonReport {
         out
     }
 
-    /// Write to `path` and log it the way every bench binary does.
-    pub fn write(&self, path: &str) {
-        std::fs::write(path, self.render()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("\nwrote {path}");
+    /// Write to `path` and log it.
+    pub fn write(&self, path: &Path) {
+        let shown = path.display();
+        std::fs::write(path, self.render()).unwrap_or_else(|e| panic!("write {shown}: {e}"));
+        println!("\nwrote {shown}");
     }
+}
+
+/// Best-of-`reps` wall-clock seconds for one call of `f` (dropping its
+/// result is part of the call).
+pub fn best_secs<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let t = Instant::now();
+        std::hint::black_box(f());
+        best = best.min(t.elapsed().as_secs_f64());
+    }
+    best
 }
 
 /// One finished measurement.

@@ -1,9 +1,12 @@
-//! Shared setup for the benchmark suite: prepared worlds, episodes and
-//! images so the benchmarked closures measure replay/simulation work,
-//! not world construction — plus the in-tree [`harness`] the bench
-//! binaries time themselves with.
+//! The benchmarks: the `bench` runner's [`suites`] with their declared
+//! gates ([`runner`]), the in-tree [`harness`] they time themselves
+//! with, and shared setup — prepared worlds, episodes and images so the
+//! benchmarked closures measure replay/simulation work, not world
+//! construction.
 
 pub mod harness;
+pub mod runner;
+pub mod suites;
 
 use kcode::events::EventStream;
 use kcode::Image;

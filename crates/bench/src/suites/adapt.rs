@@ -11,7 +11,7 @@
 //! The ADAPTIVE run starts on the pessimal BAD layout with {BAD, STD,
 //! ALL} in its candidate pool; per phase, its settle-excluded steady
 //! p99 is compared against every static candidate run under the same
-//! schedule.  Acceptance:
+//! schedule.  Gates:
 //!
 //! * per phase, ADAPTIVE's steady p99 is within 5% of the best static
 //!   candidate's (it re-converges after every shift);
@@ -21,18 +21,17 @@
 //! * a single-candidate pool with sampling *on* also reproduces the
 //!   static run bit for bit — the profiler adds zero simulated
 //!   overhead, so its only cost is wall clock, which is measured and
-//!   printed (JSON carries exclusively deterministic modelled values;
-//!   `scripts/bench_smoke.sh` drives the `ADAPT_SMOKE=1` reduced run
-//!   twice and `cmp`s the files).
+//!   printed (the report carries exclusively deterministic modelled
+//!   values, so two runs render the same bytes);
+//! * every schedule leaves the BAD initial layout.
 //!
 //! A final jit-enabled run exercises the full re-synthesis path and
-//! reports the worker's plan-store traffic.
-//!
-//! Writes `BENCH_adapt.json` (override with `BENCH_ADAPT_PATH`).
+//! reports the worker's plan-store traffic; its plan flow must
+//! conserve responses.
 
-use std::time::Instant;
-
-use protolat_bench::harness::JsonReport;
+use super::us;
+use crate::harness::{best_secs, JsonReport};
+use crate::runner::{Cmp, Gate, Size, SuiteOutput};
 use protolat_core::config::{StackKind, Version};
 use protolat_core::sweep::{AdaptSpec, SweepEngine};
 use protocols::StackOptions;
@@ -49,10 +48,6 @@ const RATE_MPS: u64 = 2_000;
 /// statics it is scored against).  BAD first: it is the initial layout.
 const POOL: [Version; 3] = [Version::Bad, Version::Std, Version::All];
 
-fn us(ns: u64) -> f64 {
-    ns as f64 / 1e3
-}
-
 /// A three-phase schedule over the run: two fixed-length phases and a
 /// trailing "rest of the run" phase, all sharing one settle window.
 fn schedule(specs: [(StreamKind, u32); 3], phase_ns: u64, settle_ns: u64) -> PhasePlan {
@@ -65,9 +60,9 @@ fn schedule(specs: [(StreamKind, u32); 3], phase_ns: u64, settle_ns: u64) -> Pha
     PhasePlan::new(&[phase(0), phase(1), phase(2)])
 }
 
-fn main() {
-    let smoke = std::env::var("ADAPT_SMOKE").is_ok_and(|v| v == "1");
-    let out_path = std::env::var("BENCH_ADAPT_PATH").unwrap_or_else(|_| "BENCH_adapt.json".into());
+/// The suite's entry point.
+pub fn run(eng: &SweepEngine, size: Size) -> SuiteOutput {
+    let smoke = size == Size::Smoke;
     let messages_per_worker: u32 = if smoke { 4_000 } else { 20_000 };
 
     // Total simulated time is messages/rate; phases split it in three,
@@ -116,7 +111,6 @@ fn main() {
         ),
     ];
 
-    let eng = SweepEngine::global();
     let opts = StackOptions::improved();
     let stack = StackKind::TcpIp;
 
@@ -151,6 +145,7 @@ fn main() {
 
     let mut converged_within_5pct = true;
     let mut never_loses_to_bad = true;
+    let mut gates = Vec::new();
 
     for (name, plan) in &schedules {
         let cfg = base.with_phases(*plan);
@@ -160,12 +155,12 @@ fn main() {
         let statics: Vec<_> =
             POOL.iter().map(|&v| (v, eng.traffic(stack, opts, 2, v, cfg))).collect();
 
-        assert!(
-            out.adapt.counters.swaps_applied >= 1,
-            "{name}: the loop never moved off the BAD initial layout"
-        );
-        let first = out.adapt.swaps.iter().find(|s| !s.noop).expect("an applied swap");
-        assert_eq!(first.from, "BAD", "{name}: first applied swap must leave the initial layout");
+        let applied = out.adapt.counters.swaps_applied as f64;
+        let leaves_bad = out.adapt.swaps.iter().find(|s| !s.noop).is_some_and(|s| s.from == "BAD");
+        gates.extend([
+            Gate::new(format!("{name}_swaps_applied"), applied, Cmp::Ge, 1.0, "moves off BAD"),
+            Gate::holds(format!("{name}_first_swap_from_bad"), leaves_bad, "first swap leaves BAD"),
+        ]);
 
         println!("\nschedule {name}: {} swaps applied, {} noop, {} windows, {} samples",
             out.adapt.counters.swaps_applied,
@@ -213,6 +208,16 @@ fn main() {
             );
             converged_within_5pct &= ratio <= 1.05;
             never_loses_to_bad &= adaptive_p99 < bad_p99;
+            gates.extend([
+                Gate::new(format!("{name}_p{p}_ratio"), ratio, Cmp::Le, 1.05, "vs best static"),
+                Gate::new(
+                    format!("{name}_p{p}_adaptive_p99_us"),
+                    us(adaptive_p99),
+                    Cmp::Lt,
+                    us(bad_p99),
+                    "never loses to static BAD",
+                ),
+            ]);
 
             report.field(
                 format!("{name}_p{p}_adaptive_p99_us"),
@@ -235,11 +240,6 @@ fn main() {
     let off_out = eng.adapt(stack, opts, 2, off);
     let fixed = eng.traffic(stack, opts, 2, Version::Std, cfg);
     let stride_zero_bit_identical = off_out.report == *fixed;
-    assert!(
-        stride_zero_bit_identical,
-        "stride 0 must be a bit-identical passthrough to the static service"
-    );
-    println!("\nsampling-off probe: stride 0 reproduced static STD bit-for-bit");
 
     // --- sampling-on, single candidate: zero *simulated* overhead -----
     // The profiler samples and the worker scores, but every verdict
@@ -247,13 +247,6 @@ fn main() {
     let solo = AdaptSpec::new(cfg, adapt, Version::Std).with_candidates(&[Version::Std]);
     let solo_out = eng.adapt(stack, opts, 2, solo);
     let single_candidate_bit_identical = solo_out.report == *fixed;
-    assert!(
-        single_candidate_bit_identical,
-        "sampling must not perturb the simulation: single-candidate run diverged"
-    );
-    assert!(solo_out.adapt.counters.samples > 0, "the solo probe must actually sample");
-    assert_eq!(solo_out.adapt.counters.swaps_applied, 0, "nothing to swap to");
-    println!("sampling-on probe: single-candidate run reproduced static STD bit-for-bit");
 
     // --- wall-clock overhead of the sampling path (stdout only: wall
     // clock is not deterministic, the JSON contract is) ----------------
@@ -261,19 +254,10 @@ fn main() {
     let episode = eng.tcpip(opts, 2).run.episodes.server_turn.clone();
     let program = std::sync::Arc::clone(&eng.tcpip(opts, 2).run.world.program);
     let image_config = Version::Std.image_config();
-    let best_secs = |f: &mut dyn FnMut()| {
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let t = Instant::now();
-            f();
-            best = best.min(t.elapsed().as_secs_f64());
-        }
-        best
-    };
-    let static_secs = best_secs(&mut || {
+    let static_secs = best_secs(3, || {
         Run::new(&cfg).serve(|_| ReplayService::new(&img, &episode)).expect("must drain");
     });
-    let sampled_secs = best_secs(&mut || {
+    let sampled_secs = best_secs(3, || {
         let candidates = [Candidate::new("STD", std::sync::Arc::clone(&img))];
         Run::new(&cfg)
             .adaptive(AdaptSetup {
@@ -299,11 +283,6 @@ fn main() {
         .with_candidates(&POOL);
     let jit_out = eng.adapt(stack, opts, 2, jit_spec);
     let w = &jit_out.adapt.worker;
-    assert_eq!(
-        w.jit_builds + w.plan_cache_hits,
-        w.responses - w.fp_memo_hits,
-        "every non-memoized response either hit the plan store or synthesized"
-    );
     println!(
         "jit loop: {} responses ({} fp-memo hits), {} plans built, {} plan-store hits, \
          verdicts {} jit / {} static",
@@ -317,20 +296,25 @@ fn main() {
         .field("jit_wins", w.jit_wins)
         .field("static_wins", w.static_wins);
 
-    // --- acceptance ---------------------------------------------------
     report
         .field("converged_within_5pct", converged_within_5pct)
         .field("never_loses_to_bad", never_loses_to_bad)
         .field("stride_zero_bit_identical", stride_zero_bit_identical)
         .field("single_candidate_bit_identical", single_candidate_bit_identical);
-    report.write(&out_path);
 
-    assert!(
-        converged_within_5pct,
-        "adaptive steady p99 drifted more than 5% above the per-phase best static layout"
-    );
-    assert!(
-        never_loses_to_bad,
-        "adaptive steady p99 failed to strictly beat static BAD in some phase"
-    );
+    let (solo, conserved) = (&solo_out.adapt.counters, w.jit_builds + w.plan_cache_hits);
+    gates.extend([
+        Gate::holds("stride_zero_bit_identical", stride_zero_bit_identical, "= static STD"),
+        Gate::holds("single_candidate_bit_identical", single_candidate_bit_identical, "= static"),
+        Gate::new("solo_samples", solo.samples as f64, Cmp::Ge, 1.0, "the solo probe samples"),
+        Gate::new("solo_swaps_applied", solo.swaps_applied as f64, Cmp::Eq, 0.0, "nothing to swap"),
+        Gate::new(
+            "jit_builds_plus_plan_cache_hits",
+            conserved as f64,
+            Cmp::Eq,
+            w.responses.saturating_sub(w.fp_memo_hits) as f64,
+            "every non-memoized response hit the plan store or synthesized",
+        ),
+    ]);
+    SuiteOutput { report, gates }
 }

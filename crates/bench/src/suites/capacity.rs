@@ -1,7 +1,7 @@
 //! Load-ramp capacity benchmark: throughput-vs-p99 curves and the
 //! saturation knee of every (stack, layout) cell.
 //!
-//! `traffic_bench` measures every cell at one fixed offered rate — the
+//! The `traffic` suite measures every cell at one fixed offered rate — the
 //! seed's 4×2000 msg/s, far below saturation, where every cell trivially
 //! serves the offered load and layout quality shows up only as latency.
 //! This bench climbs a geometric offered-rate ladder per cell and finds
@@ -10,29 +10,29 @@
 //! the knee define the cell's max sustainable rate — layout quality
 //! expressed as *capacity*.
 //!
-//! Probes asserted here:
-//! * per-cell: a knee is detected and the curve's offered rates are
-//!   strictly increasing;
+//! Gates:
+//! * per-cell: a knee is detected, the curve's offered rates are
+//!   strictly increasing and only its last rung violates;
 //! * the bisection-refined knee lies strictly inside each cell's
 //!   bracketing ladder rungs (last good rung, ladder knee];
+//! * ALL does not knee below BAD on either stack;
 //! * the dispatch plane reproduces `runloop::reference` bit-for-bit at
 //!   the seed offered rate (the acceptance gate for the lock-free
 //!   hand-off plane);
 //! * a fresh (memo-cold) engine reproduces a memoized curve exactly;
 //! * the best cell sustains ≥ 2× the seed 7953 msg/s plateau.
 //!
-//! Writes `BENCH_capacity.json` (override the path with
-//! `BENCH_CAPACITY_PATH`; set `CAPACITY_SMOKE=1` for the reduced-size
-//! smoke sweep `scripts/bench_smoke.sh` drives twice for its
-//! cross-process bit-repro check).
+//! The smoke size climbs the same ladder with a fifth of the messages.
 
-use protolat_bench::harness::JsonReport;
+use super::{stack_key, us};
+use crate::harness::JsonReport;
+use crate::runner::{Cmp, Gate, Size, SuiteOutput};
 use protolat_core::config::{StackKind, Version};
 use protolat_core::sweep::{CapacityCurve, CapacityRamp, SweepEngine};
 use protocols::StackOptions;
 use traffic::{Plane, Run, TrafficConfig};
 
-/// The serving scenario (identical to `traffic_bench`'s cell scenario).
+/// The serving scenario (identical to the `traffic` suite's cell scenario).
 const WORKERS: u32 = 4;
 const SESSIONS_PER_WORKER: u32 = 512;
 /// The seed offered rate per worker — rung 0 of the ladder.
@@ -41,21 +41,14 @@ const SEED_RATE_MPS: u64 = 2_000;
 /// at the offered rate); the dispatch-plane acceptance floor is 2×.
 const SEED_PLATEAU_MPS: f64 = 7_953.0;
 
-fn stack_key(stack: StackKind) -> &'static str {
-    match stack {
-        StackKind::TcpIp => "tcpip",
-        StackKind::Rpc => "rpc",
-    }
+/// A knee as a JSON number, or `null` when the ladder found none.
+fn knee_json(knee: Option<u64>) -> String {
+    knee.map_or_else(|| "null".into(), |k| k.to_string())
 }
 
-fn us(ns: u64) -> f64 {
-    ns as f64 / 1e3
-}
-
-fn main() {
-    let smoke = std::env::var("CAPACITY_SMOKE").is_ok_and(|v| v == "1");
-    let out_path =
-        std::env::var("BENCH_CAPACITY_PATH").unwrap_or_else(|_| "BENCH_capacity.json".into());
+/// The suite's entry point.
+pub fn run(eng: &SweepEngine, size: Size) -> SuiteOutput {
+    let smoke = size == Size::Smoke;
     let messages_per_worker: u32 = if smoke { 4_000 } else { 20_000 };
 
     let base = TrafficConfig::open_loop(SEED_RATE_MPS, messages_per_worker, SESSIONS_PER_WORKER)
@@ -66,7 +59,6 @@ fn main() {
         .with_faults(3_000, 1_500, 3_000, 1_500);
     let ramp = CapacityRamp::new(base, SEED_RATE_MPS);
 
-    let eng = SweepEngine::global();
     let opts = StackOptions::improved();
 
     println!(
@@ -103,54 +95,30 @@ fn main() {
         );
     }
 
-    // --- per-cell contract: knee found, offered rates monotone ---------
+    // --- per-cell contract: knee found, offered rates monotone, and the
+    // bisection-refined knee within the bracketing rungs ---------------
+    let mut gates = Vec::new();
     for (stack, version, curve) in &rows {
-        let cell = format!("{}/{}", stack_key(*stack), version.name());
-        assert!(
-            curve.knee_offered_mps.is_some(),
-            "{cell}: ladder topped out without finding a knee — raise max_rungs"
-        );
-        for w in curve.points.windows(2) {
-            assert!(
-                w[1].offered_mps > w[0].offered_mps,
-                "{cell}: offered rate not strictly increasing along the curve"
-            );
-        }
-        for p in &curve.points[..curve.points.len() - 1] {
-            assert!(!p.violated, "{cell}: non-terminal rung marked as violating");
-        }
-    }
-    println!("\nper-cell contract: knee detected, curves monotone in offered rate");
-
-    // --- bisection refinement: refined knee within the bracketing rungs
-    for (stack, version, curve) in &rows {
-        let cell = format!("{}/{}", stack_key(*stack), version.name());
-        let ladder_knee = curve.knee_offered_mps.expect("knee asserted above");
+        let k = format!("{}_{}", stack_key(*stack), version.name().to_lowercase());
+        let monotone = curve.points.windows(2).all(|w| w[1].offered_mps > w[0].offered_mps)
+            && curve.points[..curve.points.len() - 1].iter().all(|p| !p.violated);
         let last_good = curve.points.iter().rev().find(|p| !p.violated).map(|p| p.offered_mps);
-        match (last_good, curve.refined_knee_mps) {
-            (Some(lo), Some(refined)) => {
-                assert!(
-                    lo < refined && refined <= ladder_knee,
-                    "{cell}: refined knee {refined} outside bracket ({lo}, {ladder_knee}]"
-                );
-                for p in &curve.refined {
-                    assert!(
-                        p.offered_mps > lo && p.offered_mps < ladder_knee,
-                        "{cell}: bisection probe {} outside the open bracket",
-                        p.offered_mps
-                    );
-                }
+        let bracketed = match (last_good, curve.refined_knee_mps, curve.knee_offered_mps) {
+            (Some(lo), Some(refined), Some(knee)) => {
+                lo < refined
+                    && refined <= knee
+                    && curve.refined.iter().all(|p| p.offered_mps > lo && p.offered_mps < knee)
             }
-            (None, refined) => assert!(
-                refined.is_none(),
-                "{cell}: refined knee without a good rung to bracket from"
-            ),
-            (Some(_), None) => {
-                panic!("{cell}: bracketed knee but no bisection refinement ran")
-            }
-        }
+            (None, refined, _) => refined.is_none(),
+            _ => false,
+        };
+        let knee_detected = curve.knee_offered_mps.is_some();
+        gates.extend([
+            Gate::holds(format!("{k}_knee_detected"), knee_detected, "else raise max_rungs"),
+            Gate::holds(format!("{k}_curve_monotone"), monotone, "only the last rung violates"),
+            Gate::holds(format!("{k}_refined_knee_bracketed"), bracketed, "in (last good, knee]"),
+        ]);
     }
-    println!("bisection contract: refined knees lie within their bracketing rungs");
 
     // --- layout quality as capacity: ALL must not knee below BAD -------
     for stack in [StackKind::TcpIp, StackKind::Rpc] {
@@ -158,14 +126,10 @@ fn main() {
             rows.iter()
                 .find(|(s, ver, _)| *s == stack && *ver == v)
                 .and_then(|(_, _, c)| c.knee_offered_mps)
-                .expect("knee present")
+                .map_or(f64::NAN, |k| k as f64)
         };
-        let (bad, all) = (knee(Version::Bad), knee(Version::All));
-        assert!(
-            all >= bad,
-            "{}: ALL kneed at {all} mps below BAD at {bad} mps",
-            stack_key(stack)
-        );
+        let key = format!("{}_all_knee_mps", stack_key(stack));
+        gates.push(Gate::new(key, knee(Version::All), Cmp::Ge, knee(Version::Bad), "ALL vs BAD"));
     }
 
     // --- dispatch plane vs seed FIFO at the seed rate ------------------
@@ -176,11 +140,6 @@ fn main() {
         .expect("reference run must drain")
         .report;
     let seed_rate_bit_identical = *memoized == fifo;
-    assert!(
-        seed_rate_bit_identical,
-        "dispatch plane diverged from runloop::reference at the seed offered rate"
-    );
-    println!("dispatch-vs-reference probe: bit-identical at {SEED_RATE_MPS} msg/s/worker");
 
     // --- memo-cold bit-repro probe -------------------------------------
     let fresh = SweepEngine::new();
@@ -190,11 +149,7 @@ fn main() {
         .find(|(s, v, _)| *s == StackKind::TcpIp && *v == Version::All)
         .map(|(_, _, c)| c.clone())
         .expect("tcpip/ALL curve present");
-    assert_eq!(
-        *recomputed, *cached,
-        "memo-cold recompute of the tcpip/ALL curve diverged"
-    );
-    println!("bit-repro probe: memo-cold recompute of tcpip/ALL reproduced the curve");
+    let memo_cold_bit_identical = *recomputed == *cached;
 
     // --- acceptance: best cell sustains >= 2x the seed plateau ---------
     let best: &(StackKind, Version, std::sync::Arc<CapacityCurve>) = rows
@@ -208,10 +163,6 @@ fn main() {
         best.1.name(),
         best_mps,
         best_mps / SEED_PLATEAU_MPS
-    );
-    assert!(
-        best_mps >= 2.0 * SEED_PLATEAU_MPS,
-        "no cell sustained 2x the seed plateau: best {best_mps:.0} msg/s"
     );
 
     // --- JSON ----------------------------------------------------------
@@ -228,17 +179,14 @@ fn main() {
         .field("smoke", smoke);
     for (stack, version, curve) in &rows {
         let k = format!("{}_{}", stack_key(*stack), version.name().to_lowercase());
-        report.field(
-            format!("{k}_knee_mps"),
-            curve.knee_offered_mps.expect("knee asserted above"),
-        );
+        report.field(format!("{k}_knee_mps"), knee_json(curve.knee_offered_mps));
         report.field(
             format!("{k}_max_sustainable_mps"),
             format_args!("{:.1}", curve.max_sustainable_mps),
         );
         report.field(
             format!("{k}_refined_knee_mps"),
-            curve.refined_knee_mps.unwrap_or_else(|| curve.knee_offered_mps.expect("knee")),
+            knee_json(curve.refined_knee_mps.or(curve.knee_offered_mps)),
         );
         let mut arr = String::from("[\n");
         for (i, p) in curve.points.iter().enumerate() {
@@ -262,5 +210,17 @@ fn main() {
         .field("best_max_sustainable_mps", format_args!("{best_mps:.1}"))
         .field("seed_plateau_mps", format_args!("{SEED_PLATEAU_MPS:.1}"))
         .field("seed_rate_bit_identical", seed_rate_bit_identical);
-    report.write(&out_path);
+
+    gates.extend([
+        Gate::holds("seed_rate_bit_identical", seed_rate_bit_identical, "dispatch = seed FIFO"),
+        Gate::holds("tcpip_all_memo_cold_bit_identical", memo_cold_bit_identical, "fresh = memo"),
+        Gate::new(
+            "best_max_sustainable_mps",
+            best_mps,
+            Cmp::Ge,
+            2.0 * SEED_PLATEAU_MPS,
+            "the best cell sustains 2x the seed plateau",
+        ),
+    ]);
+    SuiteOutput { report, gates }
 }

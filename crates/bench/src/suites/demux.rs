@@ -10,7 +10,7 @@
 //! end-to-end latency quantiles.  Faults are disabled so the matrix
 //! isolates demux behaviour.
 //!
-//! Probes asserted here:
+//! Gates:
 //! * the fill-on-chain-hit contract makes `misses` (and total hit
 //!   rate) policy-invariant per stream — only the cache/chain split
 //!   moves;
@@ -23,16 +23,14 @@
 //!
 //! A raw table microbench (wall-clock ns/lookup per policy on a hot
 //! Zipf loop) prints to stdout only — the JSON carries exclusively
-//! deterministic modelled values, so two runs of this binary produce
-//! byte-identical files (`scripts/bench_smoke.sh` drives the
-//! `DEMUX_SMOKE=1` reduced matrix twice and `cmp`s them).
-//!
-//! Writes `BENCH_demux.json` (override with `BENCH_DEMUX_PATH`).
+//! deterministic modelled values, so two runs produce byte-identical
+//! reports (the smoke size is a fifth of the messages).
 
 use std::time::Instant;
 
+use crate::harness::JsonReport;
+use crate::runner::{Cmp, Gate, Size, SuiteOutput};
 use netsim::rng::SplitMix64;
-use protolat_bench::harness::JsonReport;
 use protolat_core::config::{StackKind, Version};
 use protolat_core::sweep::{DemuxCell, DemuxSpec, SweepEngine};
 use protocols::StackOptions;
@@ -44,7 +42,7 @@ use traffic::{
 const WORKERS: u32 = 4;
 const SESSIONS_PER_WORKER: u32 = 512;
 const RATE_MPS: u64 = 2_000;
-/// Shards per worker table (power of two, matches traffic_bench).
+/// Shards per worker table (power of two, matches the `traffic` suite).
 const SHARDS: u32 = 8;
 /// Address-cache capacity of the multi-entry policies.
 const SLOTS: u32 = 8;
@@ -67,9 +65,9 @@ const STREAMS: [StreamKind; 4] = [
     StreamKind::Conflict { slots: SLOTS, cycle: CYCLE },
 ];
 
-fn main() {
-    let smoke = std::env::var("DEMUX_SMOKE").is_ok_and(|v| v == "1");
-    let out_path = std::env::var("BENCH_DEMUX_PATH").unwrap_or_else(|_| "BENCH_demux.json".into());
+/// The suite's entry point.
+pub fn run(eng: &SweepEngine, size: Size) -> SuiteOutput {
+    let smoke = size == Size::Smoke;
     let messages_per_worker: u32 = if smoke { 4_000 } else { 20_000 };
 
     // Faults off: retransmissions would re-reference sessions on the
@@ -80,7 +78,6 @@ fn main() {
         .with_theta(900)
         .with_seed(0x7EA5);
 
-    let eng = SweepEngine::global();
     let opts = StackOptions::improved();
     let (stack, version) = (StackKind::TcpIp, Version::All);
 
@@ -127,20 +124,18 @@ fn main() {
     // on eviction, so which bindings are resident — hence every miss —
     // is identical across policies; a policy can only move hits between
     // the cache and the chain.
+    let mut gates = Vec::new();
     for &stream in &STREAMS {
         let seed = cell(PolicyKind::OneEntry, stream);
         for &policy in &POLICIES[1..] {
             let c = cell(policy, stream);
-            assert_eq!(
-                (c.lookups, c.misses, c.evictions),
-                (seed.lookups, seed.misses, seed.evictions),
-                "{}/{}: resident-set trajectory diverged from the seed policy",
-                policy.name(),
-                stream.name()
-            );
+            gates.push(Gate::holds(
+                format!("{}_{}_trajectory_matches_seed", policy.name(), stream.name()),
+                (c.lookups, c.misses, c.evictions) == (seed.lookups, seed.misses, seed.evictions),
+                "same lookups, misses and evictions",
+            ));
         }
     }
-    println!("\ninvariance contract: lookups/misses/evictions identical across policies");
 
     // --- acceptance: best policy beats seed on the adversarial stream --
     let adversarial = STREAMS[3];
@@ -163,10 +158,6 @@ fn main() {
         winner_conflict.lookup_ns,
         seed_conflict.lookup_ns,
     );
-    assert!(
-        winner_beats_seed_adversarial,
-        "no policy decisively beat the seed one-entry cache on the conflict stream"
-    );
 
     let winner_zipf = cell(*winner, StreamKind::Zipf);
     let seed_zipf = cell(PolicyKind::OneEntry, StreamKind::Zipf);
@@ -177,11 +168,6 @@ fn main() {
         winner_zipf.lookup_ns,
         seed_zipf.lookup_ns,
     );
-    assert!(
-        zipf_not_slower,
-        "{} regressed the Zipf-stream demux cost vs the seed one-entry cache",
-        winner.name()
-    );
 
     // --- dispatch plane vs seed FIFO on a stateful stream ---------------
     let conflict_cfg = DemuxSpec { base, policy: *winner, stream: adversarial }.config();
@@ -190,18 +176,12 @@ fn main() {
         .serve(stack, opts, 2, version, Run::new(&conflict_cfg).plane(Plane::SeedFifo))
         .expect("reference run must drain")
         .report;
-    assert!(
-        *memoized == fifo,
-        "dispatch plane diverged from runloop::reference on the conflict stream"
-    );
-    println!("dispatch-vs-reference probe: bit-identical on {}/conflict", winner.name());
+    let conflict_dispatch_bit_identical = *memoized == fifo;
 
     // --- memo-cold bit-repro probe --------------------------------------
     let probe_spec = DemuxSpec { base, policy: *winner, stream: adversarial };
     let recomputed = SweepEngine::new().demux(stack, opts, 2, version, probe_spec);
     let bit_repro = recomputed == *winner_conflict;
-    assert!(bit_repro, "memo-cold recompute of the winner/conflict cell diverged");
-    println!("bit-repro probe: memo-cold recompute reproduced the winner/conflict cell");
 
     // --- raw-table microbench (stdout only; not in the JSON) ------------
     // Wall-clock cost of the lookup fast path itself, policy by policy,
@@ -273,5 +253,19 @@ fn main() {
         .field("winner_beats_seed_adversarial", winner_beats_seed_adversarial)
         .field("zipf_not_slower", zipf_not_slower)
         .field("bit_repro", bit_repro);
-    report.write(&out_path);
+
+    gates.extend([
+        Gate::new(
+            "winner_conflict_cache_hit_rate",
+            winner_conflict.cache_hit_rate,
+            Cmp::Ge,
+            seed_conflict.cache_hit_rate + 0.30,
+            "seed one-entry hit rate + 0.30 on the conflict stream",
+        ),
+        Gate::holds("winner_beats_seed_adversarial", winner_beats_seed_adversarial, "and cheaper"),
+        Gate::holds("zipf_not_slower", zipf_not_slower, "winner's Zipf demux cost vs the seed's"),
+        Gate::holds("conflict_dispatch_bit_identical", conflict_dispatch_bit_identical, "= FIFO"),
+        Gate::holds("bit_repro", bit_repro, "memo-cold recompute of the winner/conflict cell"),
+    ]);
+    SuiteOutput { report, gates }
 }

@@ -15,18 +15,21 @@
 //! * **traffic e2e** — the full 12-cell (stack × layout) serving sweep
 //!   on each engine, both sides driving the *seed per-lane FIFO*
 //!   (`runloop::reference`) so the scheduler is the only variable —
-//!   the dispatch plane's own wall-clock story is `capacity_bench`'s
+//!   the dispatch plane's own wall-clock story is the `capacity` suite's
 //!   subject.  Reports must be bit-identical; the wheel run must also
 //!   be faster in wall-clock.
 //!
-//! Writes `BENCH_engine.json` for `scripts/bench_smoke.sh`.
+//! Gates: both engines deliver identical sequences and traffic reports,
+//! the wheel is at least 2x the heap on fill+drain and at least 1.1x on
+//! the end-to-end sweep.
 
 use std::time::Instant;
 
+use crate::harness::JsonReport;
+use crate::runner::{Cmp, Gate, Size, SuiteOutput};
 use netsim::engine::reference;
 use netsim::rng::SplitMix64;
 use netsim::{Engine, EventQueue};
-use protolat_bench::harness::JsonReport;
 use protolat_core::config::{StackKind, Version};
 use protolat_core::sweep::{SweepEngine, SweepJob};
 use protocols::StackOptions;
@@ -45,7 +48,7 @@ const ROUNDS: usize = 3;
 /// after first touch every message rides the service memo and the
 /// per-message cost is demux + histogram + *scheduler* — the regime
 /// where the event queue is actually on the critical path (the
-/// eviction-churn regime is `traffic_bench`'s subject, and there the
+/// eviction-churn regime is the `traffic` suite's subject, and there the
 /// machine-model replays dominate whatever the scheduler does).
 const WORKERS: u32 = 4;
 const MESSAGES_PER_WORKER: u32 = 60_000;
@@ -123,16 +126,18 @@ fn best_of(mut f: impl FnMut(u64) -> (f64, u64)) -> (f64, u64) {
     (best, digest.unwrap())
 }
 
-fn main() {
+/// The suite's entry point; it has one size.
+pub fn run(eng: &SweepEngine, _: Size) -> SuiteOutput {
     // --- microbenchmarks ----------------------------------------------
     // Same seed per round on both engines: digests must match exactly.
     let mut wheel_fd = Vec::new();
     let mut heap_fd = Vec::new();
+    let mut fill_drain_digests_match = true;
     for round in 0..ROUNDS as u64 {
         let seed = 0xF111_0000 + round;
         let (wms, wd) = fill_drain::<Engine<u64>>(seed);
         let (hms, hd) = fill_drain::<reference::Engine<u64>>(seed);
-        assert_eq!(wd, hd, "fill+drain delivery sequences diverged");
+        fill_drain_digests_match &= wd == hd;
         wheel_fd.push(wms);
         heap_fd.push(hms);
     }
@@ -145,14 +150,13 @@ fn main() {
 
     let (churn_wheel, wd) = best_of(churn::<Engine<u64>>);
     let (churn_heap, hd) = best_of(churn::<reference::Engine<u64>>);
-    assert_eq!(wd, hd, "churn delivery sequences diverged");
+    let churn_digests_match = wd == hd;
     let churn_speedup = churn_heap / churn_wheel;
     println!(
         "churn @ {PENDING} pending, {CHURN_OPS} ops: wheel {churn_wheel:.2} ms, heap {churn_heap:.2} ms, {churn_speedup:.2}x"
     );
 
     // --- traffic end-to-end -------------------------------------------
-    let eng = SweepEngine::global();
     let opts = StackOptions::improved();
     let cfg = serving_cfg();
 
@@ -232,19 +236,12 @@ fn main() {
         .field("traffic_heap_ms", format_args!("{traffic_heap:.1}"))
         .field("traffic_speedup", format_args!("{traffic_speedup:.3}"))
         .field("traffic_bit_identical", identical);
-    report.write("BENCH_engine.json");
-
-    // --- acceptance ----------------------------------------------------
-    assert!(
-        identical,
-        "12-cell traffic sweep must be bit-identical across schedulers"
-    );
-    assert!(
-        fd_speedup >= 2.0,
-        "wheel must beat the heap >= 2x on fill+drain at {PENDING} pending, got {fd_speedup:.2}x"
-    );
-    assert!(
-        traffic_speedup >= 1.1,
-        "wheel must speed up the end-to-end traffic sweep >= 1.1x, got {traffic_speedup:.2}x"
-    );
+    let gates = vec![
+        Gate::holds("fill_drain_digests_match", fill_drain_digests_match, "same deliveries"),
+        Gate::holds("churn_digests_match", churn_digests_match, "same deliveries"),
+        Gate::holds("traffic_bit_identical", identical, "same 12-cell reports on both engines"),
+        Gate::new("fill_drain_speedup", fd_speedup, Cmp::Ge, 2.0, "wheel vs heap"),
+        Gate::new("traffic_speedup", traffic_speedup, Cmp::Ge, 1.1, "wheel vs heap, end to end"),
+    ];
+    SuiteOutput { report, gates }
 }

@@ -15,32 +15,23 @@
 //! * **memo** — layout-cache traffic of a full canonical sweep: the
 //!   hit rate shows how often drivers reuse a synthesized plan.
 //!
-//! Writes `BENCH_layout.json`; `scripts/bench_smoke.sh` checks the
-//! contract.
+//! Gates: both placers agree on each stack's placements, and the
+//! optimized one is at least 2x the reference on the RPC stack.
 
 use std::collections::HashSet;
 use std::time::Instant;
 
-use protolat_bench::harness::JsonReport;
-use protolat_bench::{RpcCtx, TcpCtx};
+use crate::harness::{best_secs, JsonReport};
+use crate::runner::{Cmp, Gate, Size, SuiteOutput};
+use crate::{RpcCtx, TcpCtx};
 use kcode::layout::{micro_position, reference, LayoutRequest, LayoutStrategy};
 use protolat_core::config::{StackKind, Version};
 use protolat_core::sweep::{SweepEngine, SweepJob};
 use protocols::StackOptions;
 
-/// Best-of-`reps` seconds for one invocation of `f`.
-fn best_secs<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
-}
-
 struct MicroCell {
     label: String,
+    placements_match: bool,
     opt_ms: f64,
     ref_ms: f64,
 }
@@ -59,15 +50,16 @@ fn measure_micro(
     // Sanity: both placers agree before either is timed.
     let opt = micro_position(program, canonical, &req, &none);
     let seed = reference::micro_position(program, canonical, &req, &none);
-    assert_eq!(opt, seed, "{label}: optimized placements diverge from reference");
+    let placements_match = opt == seed;
 
     let opt_ms = best_secs(30, || micro_position(program, canonical, &req, &none)) * 1e3;
     let ref_ms =
         best_secs(10, || reference::micro_position(program, canonical, &req, &none)) * 1e3;
-    MicroCell { label: label.to_string(), opt_ms, ref_ms }
+    MicroCell { label: label.to_string(), placements_match, opt_ms, ref_ms }
 }
 
-fn main() {
+/// The suite's entry point; it has one size.
+pub fn run(_: &SweepEngine, _: Size) -> SuiteOutput {
     let opts = StackOptions::improved();
     let tcp = TcpCtx::new();
     let rpc = RpcCtx::new();
@@ -143,11 +135,10 @@ fn main() {
         .field("layout_requests", layout_requests)
         .field("layout_computed", layout_computed)
         .field("layout_hit_rate", format_args!("{layout_hit_rate:.3}"));
-    report.write("BENCH_layout.json");
-
-    assert!(
-        rpc_speedup >= 2.0,
-        "optimized micro-positioning must be >= 2x the reference on the RPC stack \
-         (got {rpc_speedup:.2}x)"
-    );
+    let gates = vec![
+        Gate::holds("tcpip_placements_match", tcp_micro.placements_match, "= reference placer"),
+        Gate::holds("rpc_placements_match", rpc_micro.placements_match, "= reference placer"),
+        Gate::new("rpc_micro_speedup", rpc_speedup, Cmp::Ge, 2.0, "optimized vs reference"),
+    ];
+    SuiteOutput { report, gates }
 }

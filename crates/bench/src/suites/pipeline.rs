@@ -11,11 +11,13 @@
 //! driver recomputed every cell; the engine computes each cell once and
 //! serves the rest from the cache.
 //!
-//! Writes `BENCH_pipeline.json` for `scripts/bench_smoke.sh`.
+//! Gates: the engine beats per-consumer recomputation at least 2x, and
+//! the fused streaming replay does not lose to the materialized one.
 
 use std::time::Instant;
 
-use protolat_bench::harness::JsonReport;
+use crate::harness::{best_secs, JsonReport};
+use crate::runner::{Cmp, Gate, Size, SuiteOutput};
 use protolat_core::config::{StackKind, Version};
 use protolat_core::harness::{run_rpc, run_tcpip};
 use protolat_core::sweep::SweepEngine;
@@ -32,17 +34,6 @@ const COLD_CONSUMERS: usize = 2;
 
 fn ms(t: Instant) -> f64 {
     t.elapsed().as_secs_f64() * 1e3
-}
-
-/// Best-of-`reps` wall-clock milliseconds for `f`.
-fn time_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(ms(t));
-    }
-    best
 }
 
 /// One pre-engine sweep pass: every (stack, version) cell builds its own
@@ -91,20 +82,21 @@ fn fresh_cold_sweep(opts: StackOptions) {
     }
 }
 
-fn main() {
+/// The suite's entry point; it has one size.
+pub fn run(_: &SweepEngine, _: Size) -> SuiteOutput {
     let opts = StackOptions::improved();
 
     // --- per-stage costs (one TCP/IP STD cell) -------------------------
-    let functional_run_ms = time_ms(3, || run_tcpip(TcpIpWorld::build(opts), 2));
+    let functional_run_ms = 1e3 * best_secs(3, || run_tcpip(TcpIpWorld::build(opts), 2));
     let run = run_tcpip(TcpIpWorld::build(opts), 2);
     let canonical = run.episodes.client_trace();
-    let image_build_ms = time_ms(3, || Version::Std.build_tcpip(&run.world, &canonical));
+    let image_build_ms = 1e3 * best_secs(3, || Version::Std.build_tcpip(&run.world, &canonical));
     let img = Version::Std.build_tcpip(&run.world, &canonical);
     let f_tx = run.world.lance_model.f_tx;
-    let replay_materialized_ms = time_ms(5, || {
+    let replay_materialized_ms = 1e3 * best_secs(5, || {
         time_roundtrip_materialized(&run.episodes, &img, &img, f_tx, UNTRACED_PER_HOP_US)
     });
-    let replay_fused_ms = time_ms(5, || {
+    let replay_fused_ms = 1e3 * best_secs(5, || {
         time_roundtrip_with(&run.episodes, &img, &img, f_tx, UNTRACED_PER_HOP_US)
     });
 
@@ -184,15 +176,15 @@ fn main() {
                  \"replay_fused_ms\": {replay_fused_ms:.3}\n  }}"
             ),
         );
-    report.write("BENCH_pipeline.json");
-
-    assert!(
-        speedup >= 2.0,
-        "memoized engine must beat per-consumer recomputation at least 2x (got {speedup:.2}x)"
-    );
-    assert!(
-        replay_fused_ms <= replay_materialized_ms,
-        "fused streaming replay must not lose to the materialized pipeline \
-         (fused {replay_fused_ms:.3} ms vs materialized {replay_materialized_ms:.3} ms)"
-    );
+    let gates = vec![
+        Gate::new("speedup", speedup, Cmp::Ge, 2.0, "memoized engine vs per-consumer recompute"),
+        Gate::new(
+            "replay_fused_ms",
+            replay_fused_ms,
+            Cmp::Le,
+            replay_materialized_ms,
+            "fused streaming replay must not lose to the materialized pipeline",
+        ),
+    ];
+    SuiteOutput { report, gates }
 }

@@ -11,29 +11,18 @@
 //! * **warm** — replayer and machine persist, counters reset per pass,
 //!   the roundtrip timer's steady-state cost.
 //!
-//! Writes `BENCH_replay.json` and asserts the optimized fresh path is
-//! at least 2x the reference throughput on every cell.
-
-use std::time::Instant;
+//! Gate: the optimized fresh path is at least 2x the reference
+//! throughput on every cell.
 
 use alpha_machine::{reference, Machine};
 use kcode::{Image, Replayer};
-use protolat_bench::harness::JsonReport;
+use crate::harness::{best_secs, JsonReport};
+use crate::runner::{Cmp, Gate, Size, SuiteOutput};
 use protolat_core::config::Version;
 use protolat_core::harness::{run_rpc, run_tcpip, RoundtripEpisodes};
+use protolat_core::sweep::SweepEngine;
 use protolat_core::world::{RpcWorld, TcpIpWorld};
 use protocols::StackOptions;
-
-/// Best-of-`reps` seconds for one invocation of `f`.
-fn best_secs<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
-}
 
 /// Dynamic instructions in one roundtrip of `image`.
 fn roundtrip_insts(episodes: &RoundtripEpisodes, image: &Image) -> u64 {
@@ -113,7 +102,8 @@ fn measure_cell(label: &str, episodes: &RoundtripEpisodes, image: &Image) -> Cel
     }
 }
 
-fn main() {
+/// The suite's entry point; it has one size.
+pub fn run(_: &SweepEngine, _: Size) -> SuiteOutput {
     let opts = StackOptions::improved();
     let mut cells = Vec::new();
 
@@ -182,10 +172,7 @@ fn main() {
     report
         .field("min_fresh_speedup", format_args!("{min_fresh_speedup:.3}"))
         .field("min_warm_speedup", format_args!("{min_warm_speedup:.3}"));
-    report.write("BENCH_replay.json");
-
-    assert!(
-        min_fresh_speedup >= 2.0,
-        "optimized fresh replay must be >= 2x the reference pipeline (got {min_fresh_speedup:.2}x)"
-    );
+    let gates =
+        vec![Gate::new("min_fresh_speedup", min_fresh_speedup, Cmp::Ge, 2.0, "fused vs reference")];
+    SuiteOutput { report, gates }
 }

@@ -15,14 +15,15 @@
 //!    the binary and JSON encodings of the same logs, plus a
 //!    write→read round trip of both file formats under `target/`.
 //!
-//! Writes `BENCH_trace.json` (override with `BENCH_TRACE_PATH`).
-//! `scripts/bench_smoke.sh` drives the `TRACE_SMOKE=1` reduced run,
-//! which omits the wall-clock fields so two runs emit identical bytes.
+//! The smoke size omits the wall-clock fields and their gate so two
+//! runs emit identical bytes.
 
 use std::path::Path;
 use std::time::Instant;
 
-use protolat_bench::harness::JsonReport;
+use super::stack_key;
+use crate::harness::JsonReport;
+use crate::runner::{Cmp, Gate, Size, SuiteOutput};
 use protolat_core::config::{StackKind, Version};
 use protolat_core::sweep::SweepEngine;
 use protocols::StackOptions;
@@ -40,16 +41,9 @@ const RATE_MPS: u64 = 2_000;
 /// prove the trace carries no executor-dependent state.
 const EXECUTORS: [u32; 2] = [1, 3];
 
-fn stack_key(stack: StackKind) -> &'static str {
-    match stack {
-        StackKind::TcpIp => "tcpip",
-        StackKind::Rpc => "rpc",
-    }
-}
-
-fn main() {
-    let smoke = std::env::var("TRACE_SMOKE").is_ok_and(|v| v == "1");
-    let out_path = std::env::var("BENCH_TRACE_PATH").unwrap_or_else(|_| "BENCH_trace.json".into());
+/// The suite's entry point.
+pub fn run(eng: &SweepEngine, size: Size) -> SuiteOutput {
+    let smoke = size == Size::Smoke;
     let messages_per_worker: u32 = if smoke { 2_000 } else { 20_000 };
 
     let cfg = TrafficConfig::open_loop(RATE_MPS, messages_per_worker, SESSIONS_PER_WORKER)
@@ -59,7 +53,6 @@ fn main() {
         .with_seed(0x7EA5)
         .with_faults(3_000, 1_500, 3_000, 1_500);
 
-    let eng = SweepEngine::global();
     let opts = StackOptions::improved();
 
     println!(
@@ -153,7 +146,7 @@ fn main() {
     let fp = fingerprint(&probe_events);
     let mut files_roundtrip = true;
     std::fs::create_dir_all("target").expect("target dir");
-    for name in ["target/trace_bench.trace", "target/trace_bench.json"] {
+    for name in ["target/bench_trace.trace", "target/bench_trace.json"] {
         let path = Path::new(name);
         write_events(path, &probe_events).expect("trace artifact must write");
         let back = read_events(path).expect("trace artifact must read back");
@@ -282,25 +275,24 @@ fn main() {
         .field("adapt_swaps", a_swaps.len())
         .field("adapt_verdicts_match", u32::from(adapt_verdicts_match));
     if !smoke {
-        // Wall-clock fields only in full mode: the smoke contract is
-        // byte-reproducible across runs (bench_smoke.sh cmp-probes it).
+        // Wall-clock fields only in full mode: the smoke report is
+        // byte-reproducible across runs (the runner probes it).
         report
             .field("live_ms", format_args!("{:.1}", live_s * 1e3))
             .field("record_ms", format_args!("{:.1}", record_s * 1e3))
             .field("record_overhead_pct", format_args!("{overhead_pct:.2}"));
     }
-    report.write(&out_path);
 
-    // --- acceptance ----------------------------------------------------
-    assert!(all_identical, "every recorded cell must replay bit-identically");
-    assert!(executors_identical, "replay must be executor-invariant");
-    assert!(files_roundtrip, "both trace codecs must round-trip through files");
-    assert!(!a_swaps.is_empty(), "the adaptive probe must actually swap");
-    assert!(adapt_verdicts_match, "adaptive replay must re-derive the recorded verdicts");
+    let swaps = a_swaps.len() as f64;
+    let mut gates = vec![
+        Gate::holds("replay_bit_identical", all_identical, "direct and engine-staged replays"),
+        Gate::holds("executor_bit_identical", executors_identical, "replay re-sliced"),
+        Gate::holds("file_roundtrip_ok", files_roundtrip, "both codecs through files"),
+        Gate::new("adapt_swaps", swaps, Cmp::Ge, 1.0, "the adaptive probe swaps"),
+        Gate::holds("adapt_verdicts_match", adapt_verdicts_match, "replay re-derives verdicts"),
+    ];
     if !smoke {
-        assert!(
-            overhead_pct <= 10.0,
-            "recording must cost <= 10% over live serving, measured {overhead_pct:.2}%"
-        );
+        gates.push(Gate::new("record_overhead_pct", overhead_pct, Cmp::Le, 10.0, "vs live"));
     }
+    SuiteOutput { report, gates }
 }

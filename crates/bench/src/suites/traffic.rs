@@ -14,9 +14,13 @@
 //! count — the single-host-partitioning claim, measured in simulation
 //! time and therefore deterministic.
 //!
-//! Writes `BENCH_traffic.json` for `scripts/bench_smoke.sh`.
+//! Gates: a rerun reproduces a memoized cell bit for bit, every cell
+//! serves at least 97% of the offered rate, ALL beats BAD at p99 on
+//! both stacks, and partitioned serving scales at least 2x.
 
-use protolat_bench::harness::JsonReport;
+use super::{stack_key, us};
+use crate::harness::JsonReport;
+use crate::runner::{Cmp, Gate, Size, SuiteOutput};
 use protolat_core::config::{StackKind, Version};
 use protolat_core::sweep::SweepEngine;
 use protocols::StackOptions;
@@ -43,19 +47,8 @@ fn serving_cfg() -> TrafficConfig {
         .with_wire_faults(800, 500, 700)
 }
 
-fn stack_key(stack: StackKind) -> &'static str {
-    match stack {
-        StackKind::TcpIp => "tcpip",
-        StackKind::Rpc => "rpc",
-    }
-}
-
-fn us(ns: u64) -> f64 {
-    ns as f64 / 1e3
-}
-
-fn main() {
-    let eng = SweepEngine::global();
+/// The suite's entry point; it has one size.
+pub fn run(eng: &SweepEngine, _: Size) -> SuiteOutput {
     let opts = StackOptions::improved();
     let cfg = serving_cfg();
 
@@ -95,11 +88,8 @@ fn main() {
         .serve(|_| ReplayService::new(&img, &episode))
         .expect("serving scenario must drain")
         .report;
-    assert_eq!(
-        *probe_cell, rerun,
-        "a fixed (seed, workers) run must be bit-reproducible"
-    );
-    println!("\ndeterminism probe: rerun of tcpip/STD reproduced bit-for-bit");
+    let rerun_bit_identical = *probe_cell == rerun;
+    println!("\ndeterminism probe: rerun of tcpip/STD bit-identical: {rerun_bit_identical}");
 
     // --- worker scaling probe (closed loop, zero think time) -----------
     let probe = |workers: u32| -> TrafficReport {
@@ -131,16 +121,6 @@ fn main() {
         min_achieved_mps,
         100.0 * min_achieved_mps / offered_mps
     );
-    for (stack, version, r) in &cells {
-        let achieved = r.msgs_per_sec();
-        assert!(
-            achieved >= 0.97 * offered_mps,
-            "{}/{}: achieved {achieved:.1} msg/s < 97% of the {offered_mps:.0} msg/s offered — \
-             arrival generation, not service, limited the run",
-            stack_key(*stack),
-            version.name()
-        );
-    }
 
     let single = probe(1);
     let multi = probe(WORKERS);
@@ -214,29 +194,29 @@ fn main() {
         .field("single_worker_mps", format_args!("{single_mps:.1}"))
         .field("multi_worker_mps", format_args!("{multi_mps:.1}"))
         .field("worker_speedup", format_args!("{worker_speedup:.3}"));
-    report.write("BENCH_traffic.json");
-
-    // --- acceptance ----------------------------------------------------
+    // --- gates ---------------------------------------------------------
     let p99 = |stack: StackKind, v: Version| {
         cells
             .iter()
             .find(|(s, ver, _)| *s == stack && *ver == v)
-            .map(|(_, _, r)| r.hist.p99())
+            .map(|(_, _, r)| us(r.hist.p99()))
             .expect("cell present")
     };
+    let mut gates = vec![
+        Gate::holds("tcpip_std_rerun_bit_identical", rerun_bit_identical, "fresh run = memoized"),
+        Gate::new(
+            "min_achieved_mps",
+            min_achieved_mps,
+            Cmp::Ge,
+            0.97 * offered_mps,
+            "arrival generation, not service, must not limit any cell",
+        ),
+    ];
     for stack in [StackKind::TcpIp, StackKind::Rpc] {
-        let (bad, all) = (p99(stack, Version::Bad), p99(stack, Version::All));
-        assert!(
-            all < bad,
-            "{}: ALL p99 ({:.1} µs) must beat BAD p99 ({:.1} µs) under load",
-            stack_key(stack),
-            us(all),
-            us(bad)
-        );
+        let (all, bad) = (p99(stack, Version::All), p99(stack, Version::Bad));
+        let key = format!("{}_all_p99_us", stack_key(stack));
+        gates.push(Gate::new(key, all, Cmp::Lt, bad, "ALL beats BAD at p99 under load"));
     }
-    assert!(
-        worker_speedup >= 2.0,
-        "partitioned serving must scale: {WORKERS} workers gave only {worker_speedup:.2}x \
-         the single-worker simulated throughput"
-    );
+    gates.push(Gate::new("worker_speedup", worker_speedup, Cmp::Ge, 2.0, "simulated scaling"));
+    SuiteOutput { report, gates }
 }

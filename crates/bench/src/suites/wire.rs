@@ -17,15 +17,14 @@
 //!    counter.  The checked-in `tcpip_roundtrip.pcap` must ingest,
 //!    demux on both codecs, and re-emit byte-identically.
 //!
-//! Writes `BENCH_wire.json` (override with `BENCH_WIRE_PATH`).
-//! `scripts/bench_smoke.sh` drives the `WIRE_SMOKE=1` reduced run,
-//! which omits the wall-clock fields so two runs emit identical bytes.
+//! The smoke size omits the wall-clock fields and their gate so two
+//! runs emit identical bytes.
 
-use std::time::Instant;
-
+use crate::harness::{best_secs, JsonReport};
+use crate::runner::{Cmp, Gate, Size, SuiteOutput};
 use netsim::buf::BufPool;
 use netsim::rng::SplitMix64;
-use protolat_bench::harness::JsonReport;
+use protolat_core::sweep::SweepEngine;
 use protocols::wire::codec::{self, PktSpec};
 use protocols::wire::reference;
 use trace::pcap::{PcapSink, PcapSource};
@@ -74,9 +73,10 @@ fn fold(acc: u64, d: &codec::Demux) -> u64 {
         ^ u64::from(d.seq)
 }
 
-fn main() {
-    let smoke = std::env::var("WIRE_SMOKE").is_ok_and(|v| v == "1");
-    let out_path = std::env::var("BENCH_WIRE_PATH").unwrap_or_else(|_| "BENCH_wire.json".into());
+/// The suite's entry point; the engine is unused (the wire plane
+/// serves a fixed-cost service, not a replayed image).
+pub fn run(_: &SweepEngine, size: Size) -> SuiteOutput {
+    let smoke = size == Size::Smoke;
     let packets = if smoke { 256 } else { 2_048 };
     let rounds = if smoke { 20 } else { 200 };
     let messages_per_worker: u32 = if smoke { 2_000 } else { 10_000 };
@@ -91,18 +91,9 @@ fn main() {
     // --- codec micro-bench: pooled zero-copy vs materializing copies ---
     let pkts = corpus(packets);
     let mut pool = BufPool::new(1);
-    let time = |f: &mut dyn FnMut() -> u64| -> (f64, u64) {
-        let mut best = f64::INFINITY;
-        let mut fp = 0;
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            fp = f();
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        (best, fp)
-    };
 
-    let (zc_s, zc_fp) = time(&mut || {
+    let (mut zc_fp, mut ref_fp) = (0, 0);
+    let zc_s = best_secs(3, || {
         let mut acc = 0u64;
         for _ in 0..rounds {
             for (spec, payload) in &pkts {
@@ -115,9 +106,9 @@ fn main() {
                 pool.free(h).expect("single free");
             }
         }
-        acc
+        zc_fp = acc;
     });
-    let (ref_s, ref_fp) = time(&mut || {
+    let ref_s = best_secs(3, || {
         let mut acc = 0u64;
         for _ in 0..rounds {
             for (spec, payload) in &pkts {
@@ -126,10 +117,9 @@ fn main() {
                 acc = fold(acc, &d);
             }
         }
-        acc
+        ref_fp = acc;
     });
-    assert_eq!(zc_fp, ref_fp, "the two codecs parsed different packets");
-    assert_eq!(pool.stats().grows, 0, "micro-bench pool must stay at one buffer");
+    let micro_pool_grows = pool.stats().grows;
 
     let total = (packets * rounds) as f64;
     let zc_ns = zc_s * 1e9 / total;
@@ -178,15 +168,10 @@ fn main() {
         wire_bit_identical = false;
         println!("DIVERGED: zero-copy and reference decode counters");
     }
-    assert!(wire_bit_identical, "the wire data plane perturbed the simulation");
     let w = &zc_report.wire;
     println!(
         "serving probe: {} frames encoded, {} demuxed, anomalies fcs={} trunc={} malformed={} frag={}",
         w.encoded, w.demuxed, w.bad_fcs, w.truncated, w.malformed, w.fragmented
-    );
-    assert!(
-        w.bad_fcs > 0 && w.truncated > 0 && w.malformed > 0 && w.fragmented > 0,
-        "fault mix must exercise every wire anomaly class: {w:?}"
     );
 
     // --- pool steady state ----------------------------------------------
@@ -198,10 +183,6 @@ fn main() {
         w.pool.grows,
         w.pool.high_water
     );
-    assert_eq!(w.pool.grows, 0, "steady state allocated: {:?}", w.pool);
-    assert_eq!(w.pool.allocs, w.encoded, "one pooled buffer per encoded frame");
-    assert_eq!(w.pool.frees, w.pool.allocs, "every buffer returned to the pool");
-    assert!(w.pool.recycle_rate() > 0.99, "pool must recycle: {:?}", w.pool);
 
     // --- pcap round trip -------------------------------------------------
     let pcap_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tcpip_roundtrip.pcap");
@@ -209,15 +190,15 @@ fn main() {
     let mut src = PcapSource::new(&original[..]).expect("valid capture");
     let mut sink = PcapSink::new(Vec::new()).expect("sink header");
     let mut pcap_frames = 0u64;
+    let mut pcap_codecs_agree = true;
     while let Some(pkt) = src.next_packet().expect("clean record stream") {
         let d = codec::demux_frame(&pkt.data).expect("captured frame demuxes");
-        assert_eq!(reference::demux_frame(&pkt.data), Ok(d), "codecs diverged on capture");
+        pcap_codecs_agree &= reference::demux_frame(&pkt.data) == Ok(d);
         sink.emit(&pkt).expect("re-emit");
         pcap_frames += 1;
     }
     let pcap_roundtrip_ok = sink.finish().expect("finish") == original;
     println!("pcap: {pcap_frames} frames ingested, round trip {}", if pcap_roundtrip_ok { "bit-identical" } else { "DIVERGED" });
-    assert!(pcap_roundtrip_ok, "pcap re-emit must be byte-identical");
 
     // --- JSON ------------------------------------------------------------
     let mut report = JsonReport::new("wire");
@@ -249,10 +230,30 @@ fn main() {
             .field("zero_copy_ns_per_pkt", format_args!("{zc_ns:.2}"))
             .field("reference_ns_per_pkt", format_args!("{ref_ns:.2}"))
             .field("codec_speedup", format_args!("{codec_speedup:.3}"));
-        assert!(
-            codec_speedup >= 2.0,
-            "zero-copy codec gave only {codec_speedup:.2}x over the copying reference"
-        );
     }
-    report.write(&out_path);
+
+    let pool = &w.pool;
+    let mut gates = vec![
+        Gate::holds("codec_fingerprints_match", zc_fp == ref_fp, "both codecs parse the same"),
+        Gate::new("micro_pool_grows", micro_pool_grows as f64, Cmp::Eq, 0.0, "one buffer"),
+        Gate::holds("wire_bit_identical", wire_bit_identical, "bytes = descriptors, both planes"),
+        Gate::new("pool_grows", pool.grows as f64, Cmp::Eq, 0.0, "no steady-state allocation"),
+        Gate::new("pool_allocs", pool.allocs as f64, Cmp::Eq, w.encoded as f64, "one per frame"),
+        Gate::new("pool_frees", pool.frees as f64, Cmp::Eq, pool.allocs as f64, "all returned"),
+        Gate::new("pool_recycle_rate", pool.recycle_rate(), Cmp::Gt, 0.99, "the pool recycles"),
+        Gate::holds("pcap_codecs_agree", pcap_codecs_agree, "both codecs demux the capture alike"),
+        Gate::holds("pcap_roundtrip_ok", pcap_roundtrip_ok, "re-emit is byte-identical"),
+    ];
+    for (key, count) in [
+        ("bad_fcs", w.bad_fcs),
+        ("truncated", w.truncated),
+        ("malformed", w.malformed),
+        ("fragmented", w.fragmented),
+    ] {
+        gates.push(Gate::new(key, count as f64, Cmp::Ge, 1.0, "the fault mix exercises it"));
+    }
+    if !smoke {
+        gates.push(Gate::new("codec_speedup", codec_speedup, Cmp::Ge, 2.0, "zero-copy vs copy"));
+    }
+    SuiteOutput { report, gates }
 }

@@ -147,7 +147,7 @@ pub struct CapacityRamp {
 }
 
 impl CapacityRamp {
-    /// The default ramp used by `capacity_bench`: start at the seed
+    /// The default ramp used by the `capacity` bench suite: start at the seed
     /// per-worker rate, ×2 per rung, a 1 ms p99 SLO and a 97%
     /// achieved-rate floor.
     pub fn new(base: TrafficConfig, start_rate_mps: u64) -> Self {
@@ -580,7 +580,7 @@ impl SweepEngine {
     }
 
     /// Layout memo traffic: `(requests, computed)`.  The difference is
-    /// the number of cache hits — reported by `layout_bench` as the
+    /// the number of cache hits — reported by the `layout` bench suite as the
     /// memoization hit rate of the 12-cell sweep.
     pub fn layout_stats(&self) -> (u64, u64) {
         (self.layouts.requests(), self.layouts.computed())
@@ -942,7 +942,7 @@ impl SweepEngine {
     /// counters (`jit_builds` vs `plan_cache_hits`) additionally
     /// reflect how warm the shared plan store already was when the cell
     /// was first computed, so drivers that print them should compute
-    /// their cells in a deterministic order (as `adapt_bench` does).
+    /// their cells in a deterministic order (as the `adapt` bench suite does).
     pub fn adapt(
         &self,
         stack: StackKind,

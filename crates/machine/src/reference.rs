@@ -11,7 +11,7 @@
 //! * the equivalence suite (`tests/reference_equivalence.rs` and
 //!   `protolat-core/tests/model_equivalence.rs`) can replay identical
 //!   traces through both models and assert exact equality, and
-//! * `replay_bench` can measure the optimized model's fresh-replay
+//! * the `replay` bench suite can measure the optimized model's fresh-replay
 //!   throughput against the seed (`BENCH_replay.json` must show ≥ 2×).
 //!
 //! Nothing here should be edited for performance — it is the spec.  The

@@ -75,7 +75,7 @@ struct Node<E> {
 
 /// The common scheduler interface, implemented by the timing wheel and
 /// by the reference heap, so consumers (the traffic run loop, the
-/// equivalence suites, `engine_bench`) can run generically over either.
+/// equivalence suites, the `engine` bench suite) can run generically over either.
 pub trait EventQueue<E> {
     /// Engine-specific cancellation handle.
     type Token: Copy + std::fmt::Debug;

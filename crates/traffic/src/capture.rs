@@ -371,6 +371,7 @@ pub fn config_from_record(rec: &ConfigRecord) -> Result<TrafficConfig, TraceErro
         4 => PolicyKind::Random { slots: rec.policy_param },
         k => return Err(invalid(format!("unknown policy kind code {k}"))),
     };
+    policy.check().map_err(invalid)?;
     if rec.workers == 0 {
         return Err(invalid("worker count must be at least 1".into()));
     }

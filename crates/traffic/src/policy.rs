@@ -63,6 +63,24 @@ impl PolicyKind {
         }
     }
 
+    /// Why this policy's parameter cannot build a cache, if it cannot:
+    /// set-indexed policies need a power-of-two count (0 is not one)
+    /// and fully-associative ones at least one slot.
+    pub fn check(&self) -> Result<(), String> {
+        match *self {
+            PolicyKind::OneEntry => Ok(()),
+            PolicyKind::DirectMapped { slots: n } | PolicyKind::TwoWayLru { sets: n }
+                if !n.is_power_of_two() =>
+            {
+                Err(format!("{} policy count {n} is not a power of two", self.name()))
+            }
+            PolicyKind::Fifo { slots: 0 } | PolicyKind::Random { slots: 0 } => {
+                Err(format!("{} policy has no slots", self.name()))
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Cache entries this policy holds per shard.
     pub fn entries(&self) -> usize {
         match *self {
@@ -110,28 +128,23 @@ impl<V: Clone> DemuxCache<V> {
     /// Fresh cache state for `kind`; `seed` feeds the random-
     /// replacement stream (derive it per shard for determinism).
     pub fn new(kind: PolicyKind, seed: u64) -> Self {
+        if let Err(why) = kind.check() {
+            panic!("{why}");
+        }
         match kind {
             PolicyKind::OneEntry => DemuxCache::OneEntry(None),
-            PolicyKind::DirectMapped { slots } => {
-                assert!(slots.is_power_of_two(), "direct-mapped slots must be a power of two");
-                DemuxCache::DirectMapped {
-                    slots: vec![None; slots as usize],
-                    mask: slots as u64 - 1,
-                }
-            }
-            PolicyKind::TwoWayLru { sets } => {
-                assert!(sets.is_power_of_two(), "LRU sets must be a power of two");
-                DemuxCache::TwoWayLru {
-                    sets: vec![TwoWaySet { ways: [None, None], mru: 0 }; sets as usize],
-                    mask: sets as u64 - 1,
-                }
-            }
+            PolicyKind::DirectMapped { slots } => DemuxCache::DirectMapped {
+                slots: vec![None; slots as usize],
+                mask: slots as u64 - 1,
+            },
+            PolicyKind::TwoWayLru { sets } => DemuxCache::TwoWayLru {
+                sets: vec![TwoWaySet { ways: [None, None], mru: 0 }; sets as usize],
+                mask: sets as u64 - 1,
+            },
             PolicyKind::Fifo { slots } => {
-                assert!(slots > 0);
                 DemuxCache::Fifo { slots: vec![None; slots as usize], next: 0 }
             }
             PolicyKind::Random { slots } => {
-                assert!(slots > 0);
                 DemuxCache::Random { slots: vec![None; slots as usize], rng: SplitMix64::new(seed) }
             }
         }

@@ -190,6 +190,18 @@ fn structurally_broken_traces_are_rejected() {
     let idx = short.iter().position(|e| matches!(e, TraceEvent::Arrival { .. })).unwrap();
     short.remove(idx);
     assert!(TraceStream::from_events(&short).is_err());
+    // A cache-policy parameter no demux cache can be built from: a
+    // set-indexed count that is not a power of two (0 included), or a
+    // fully-associative policy with no slots.
+    for (kind, param) in [(1, 0), (1, 6), (2, 0), (2, 3), (3, 0), (4, 0)] {
+        let mut rec = config_to_record(&TrafficConfig::open_loop(1_000, 0, 16));
+        (rec.policy_kind, rec.policy_param) = (kind, param);
+        match TraceStream::from_events(&decoded(rec)) {
+            Err(TraceError::Invalid { what }) => assert!(what.contains("policy"), "{what}"),
+            Err(e) => panic!("policy {kind}/{param}: expected Invalid, got {e}"),
+            Ok(_) => panic!("policy {kind}/{param} must not validate"),
+        }
+    }
     // The original is, of course, fine.
     assert!(TraceStream::from_events(&events).is_ok());
 }
@@ -199,6 +211,12 @@ fn structurally_broken_traces_are_rejected() {
 fn config_only_trace(messages: u32, workers: u32) -> Vec<TraceEvent> {
     let mut rec = config_to_record(&TrafficConfig::open_loop(1_000, messages, 16));
     rec.workers = workers;
+    decoded(rec)
+}
+
+/// `rec` as the sole event of a binary trace, decoded the way a file
+/// would be.
+fn decoded(rec: trace::ConfigRecord) -> Vec<TraceEvent> {
     let bytes = trace::encode(&[TraceEvent::Config(Box::new(rec))], trace::Format::Binary);
     trace::decode(&bytes, trace::Format::Binary).expect("a well-formed binary trace")
 }
