@@ -5,7 +5,7 @@ use protolat_bench::harness::Criterion;
 use kcode::layout::{build_image, LayoutRequest, LayoutStrategy};
 use kcode::ImageConfig;
 use protolat_bench::TcpCtx;
-use protolat_core::timing::{cold_client_stats, time_roundtrip};
+use protolat_core::timing::{time_cell, UNTRACED_PER_HOP_US};
 
 fn bench(c: &mut Criterion) {
     let ctx = TcpCtx::new();
@@ -27,8 +27,8 @@ fn bench(c: &mut Criterion) {
             )
             .with_canonical(&ctx.canonical),
         );
-        let t = time_roundtrip(&ctx.episodes, &img, &img, f_tx);
-        let cold = cold_client_stats(&ctx.episodes, &img);
+        let cell = time_cell(&ctx.episodes, &img, &img, f_tx, UNTRACED_PER_HOP_US);
+        let (t, cold) = (cell.timing, cell.cold);
         println!(
             "  {name:<15} e2e {:>6.1} us  mCPI {:.2}  i-repl {}",
             t.e2e_us,

@@ -147,9 +147,9 @@ pub fn run(_: &SweepEngine, _: Size) -> SuiteOutput {
     println!("  memoized parallel     {memoized_parallel_ms:>9.2} ms");
     println!("  speedup               {speedup:>9.2} x");
     println!(
-        "  engine computed: {} runs, {} images, {} timings, {} cold-stats \
-         (each cell exactly once)",
-        counters.runs, counters.images, counters.timings, counters.cold_stats
+        "  engine computed: {} runs, {} images, {} timings, {} cold-stats, \
+         {} server halves (each cell exactly once)",
+        counters.runs, counters.images, counters.timings, counters.cold_stats, counters.server_halves
     );
 
     let mut report = JsonReport::new("pipeline");

@@ -2,7 +2,9 @@
 
 use protolat_core::config::Version;
 use protolat_core::harness::{run_rpc, run_tcpip};
-use protolat_core::timing::{cold_client_stats, time_roundtrip, time_roundtrip_with, RPC_UNTRACED_PER_HOP_US};
+use protolat_core::timing::{
+    client_half, server_half, time_cell, RPC_UNTRACED_PER_HOP_US, UNTRACED_PER_HOP_US,
+};
 use protolat_core::world::{RpcWorld, TcpIpWorld};
 use protocols::StackOptions;
 
@@ -17,8 +19,8 @@ fn main() {
     );
     for v in Version::all() {
         let img = v.build_tcpip(&run.world, &canonical);
-        let t = time_roundtrip(&run.episodes, &img, &img, f_tx);
-        let cold = cold_client_stats(&run.episodes, &img);
+        let cell = time_cell(&run.episodes, &img, &img, f_tx, UNTRACED_PER_HOP_US);
+        let (t, cold) = (cell.timing, cell.cold);
         println!(
             "{:4} {:7.1} {:8.1} {:7} {:7.2} {:7.2} | i:{:>5}/{:>5}/{:>4} d:{:>5}/{:>5}/{:>4} b:{:>5}/{:>5}/{:>4}",
             v.name(), t.e2e_us, t.tp_us(), t.client.instructions, t.client.icpi(), t.client.mcpi(),
@@ -32,11 +34,13 @@ fn main() {
     let run = run_rpc(RpcWorld::build(StackOptions::improved()), 2);
     let canonical = run.episodes.client_trace();
     let f_tx = run.world.lance_model.f_tx;
+    // Every RPC version is served by ALL: one server half serves them all.
     let server_img = Version::All.build_rpc(&run.world, &canonical);
+    let server = server_half(&run.episodes, &server_img, f_tx);
     for v in Version::all() {
         let img = v.build_rpc(&run.world, &canonical);
-        let t = time_roundtrip_with(&run.episodes, &img, &server_img, f_tx, RPC_UNTRACED_PER_HOP_US);
-        let cold = cold_client_stats(&run.episodes, &img);
+        let client = client_half(&run.episodes, &img, f_tx);
+        let (t, cold) = (client.roundtrip(&server, RPC_UNTRACED_PER_HOP_US), client.cold);
         println!(
             "{:4} {:7.1} {:8.1} {:7} {:7.2} {:7.2} | i:{:>5}/{:>5}/{:>4} d:{:>5}/{:>5}/{:>4} b:{:>5}/{:>5}/{:>4}",
             v.name(), t.e2e_us, t.tp_us(), t.client.instructions, t.client.icpi(), t.client.mcpi(),

@@ -24,10 +24,10 @@ use protocols::StackOptions;
 
 /// Warm the global sweep engine for everything `run_all` needs, in
 /// parallel: the 6-version × 2-stack sweep at every warm-up depth
-/// Table 4 samples, the cold cache statistics of Tables 6/8, the
-/// replay statistics of Tables 1/9, and the option-toggle runs of
-/// Table 1.  Each artifact is computed once; the tables then read
-/// from the cache.
+/// Table 4 samples (depth 2's machine cells also hold the cold cache
+/// statistics of Tables 6/8), the replay statistics of Tables 1/9, and
+/// the option-toggle runs of Table 1.  Each artifact is computed once;
+/// the tables then read from the cache.
 fn prefetch_all() {
     let eng = SweepEngine::global();
     let improved = StackOptions::improved();
@@ -40,7 +40,6 @@ fn prefetch_all() {
             for w in 1..=5 {
                 jobs.push(SweepJob::Timing(stack, improved, w, v));
             }
-            jobs.push(SweepJob::ColdStats(stack, improved, 2, v));
         }
     }
     // Tables 1 and 9 share the replay statistics of the STD/OUT images.

@@ -4,10 +4,16 @@
 //! Every experiment driver needs some subset of the same pipeline:
 //!
 //! ```text
-//! functional run ─→ layout plan ─→ image ─→ warm roundtrip timing
-//!        │           per Version      │         cold cache stats
+//! functional run ─→ layout plan ─→ image ─→ machine cell: warm roundtrip
+//!        │           per Version      │         timing + cold cache stats
 //!        └─ canonical                 └───────→ replay statistics
 //! ```
+//!
+//! The machine stage is one computation per cell: one client machine
+//! pass yields both the cold Table-6 statistics and the warm timing
+//! (the cold pass is the timing warm-up), and the server half is
+//! memoized by its own image, so RPC's ALL server is simulated once for
+//! all six client versions.
 //!
 //! Before this module, each table re-ran the whole pipeline from
 //! scratch — Table 4 alone performs five functional runs per stack and
@@ -30,7 +36,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use alpha_machine::RunReport;
 use kcode::events::EventStream;
 use kcode::layout::LayoutStrategy;
-use kcode::{Image, LayoutPlan, NullSink, ReplayStats, Replayer};
+use kcode::{FuncId, Image, LayoutPlan, NullSink, ReplayStats, Replayer};
 use protocols::StackOptions;
 use traffic::workload::Scenario;
 use traffic::{
@@ -40,9 +46,9 @@ use traffic::{
 };
 
 use crate::config::{StackKind, Version};
-use crate::harness::{run_rpc, run_tcpip, RpcRun, TcpIpRun};
+use crate::harness::{run_rpc, run_tcpip, RoundtripEpisodes, RpcRun, TcpIpRun};
 use crate::timing::{
-    cold_client_stats, time_roundtrip_with, RoundtripTiming, RPC_UNTRACED_PER_HOP_US,
+    client_half, server_half, RoundtripTiming, ServerHalf, RPC_UNTRACED_PER_HOP_US,
     UNTRACED_PER_HOP_US,
 };
 use crate::world::{RpcWorld, TcpIpWorld};
@@ -111,8 +117,13 @@ pub struct SweepCounters {
     pub runs: u64,
     pub layouts: u64,
     pub images: u64,
+    /// Warm timings and cold statistics come from one per-cell
+    /// computation, so these two always read the same.
     pub timings: u64,
     pub cold_stats: u64,
+    /// Server halves, keyed by the server's own version: one per
+    /// TCP/IP version, one (ALL) for RPC.
+    pub server_halves: u64,
     pub replay_stats: u64,
     pub traffics: u64,
     pub capacities: u64,
@@ -464,8 +475,10 @@ pub enum SweepJob {
     /// Layout-plan synthesis for `(stack, opts, warmup, version)`.
     Layout(StackKind, StackOptions, usize, Version),
     /// Warm roundtrip timing for `(stack, opts, warmup, version)`.
+    /// Computes the whole machine cell, so it fills `ColdStats` too.
     Timing(StackKind, StackOptions, usize, Version),
-    /// Cold client cache statistics (Table 6 methodology).
+    /// Cold client cache statistics (Table 6 methodology); the same
+    /// machine cell as `Timing`.
     ColdStats(StackKind, StackOptions, usize, Version),
     /// Client replay statistics (fetch-utilization, trace length).
     ReplayStats(StackKind, StackOptions, usize, Version),
@@ -487,14 +500,22 @@ pub struct SweepRow {
     pub cold: Arc<RunReport>,
 }
 
+/// Both machine-stage results of one (stack, version) cell.
+#[derive(Clone)]
+struct MachineCell {
+    timing: Arc<RoundtripTiming>,
+    cold: Arc<RunReport>,
+}
+
 /// The memoizing sweep engine.  See the module docs.
 pub struct SweepEngine {
     tcp_runs: Memo<RunKey, Arc<TcpRunShared>>,
     rpc_runs: Memo<RunKey, Arc<RpcRunShared>>,
     layouts: Memo<LayoutKey, Arc<LayoutPlan>>,
     images: Memo<VersionKey, Arc<Image>>,
-    timings: Memo<VersionKey, Arc<RoundtripTiming>>,
-    cold_stats: Memo<VersionKey, Arc<RunReport>>,
+    cells: Memo<VersionKey, MachineCell>,
+    /// Keyed by the *server's* version (ALL for every RPC cell).
+    server_halves: Memo<VersionKey, Arc<ServerHalf>>,
     replay_stats: Memo<VersionKey, Arc<ReplayStats>>,
     traffics: Memo<TrafficKey, Arc<TrafficReport>>,
     capacities: Memo<CapacityKey, Arc<CapacityCurve>>,
@@ -519,8 +540,8 @@ impl SweepEngine {
             rpc_runs: Memo::new(),
             layouts: Memo::new(),
             images: Memo::new(),
-            timings: Memo::new(),
-            cold_stats: Memo::new(),
+            cells: Memo::new(),
+            server_halves: Memo::new(),
             replay_stats: Memo::new(),
             traffics: Memo::new(),
             capacities: Memo::new(),
@@ -605,9 +626,73 @@ impl SweepEngine {
         })
     }
 
-    /// The memoized warm roundtrip timing.  TCP/IP times client and
-    /// server on the same version; RPC follows the paper's methodology
-    /// (server fixed at ALL) and charges the RPC untraced constant.
+    /// Call `f` with the memoized functional run's roundtrip episodes
+    /// and the driver's transmit function.
+    fn with_episodes<R>(
+        &self,
+        stack: StackKind,
+        opts: StackOptions,
+        warmup: usize,
+        f: impl FnOnce(&RoundtripEpisodes, FuncId) -> R,
+    ) -> R {
+        match stack {
+            StackKind::TcpIp => {
+                let sh = self.tcpip(opts, warmup);
+                f(&sh.run.episodes, sh.run.world.lance_model.f_tx)
+            }
+            StackKind::Rpc => {
+                let sh = self.rpc(opts, warmup);
+                f(&sh.run.episodes, sh.run.world.lance_model.f_tx)
+            }
+        }
+    }
+
+    /// The memoized machine cell: one client pass (cold statistics, then
+    /// the warm measured pass on the same machine) composed with the
+    /// memoized server half.  TCP/IP serves each version with itself;
+    /// RPC follows the paper's methodology (server fixed at ALL) and
+    /// charges the RPC untraced constant.
+    fn machine_cell(
+        &self,
+        stack: StackKind,
+        opts: StackOptions,
+        warmup: usize,
+        version: Version,
+    ) -> MachineCell {
+        self.cells.get_or_compute((stack, opts, warmup, version), || {
+            let (server_version, untraced_us) = match stack {
+                StackKind::TcpIp => (version, UNTRACED_PER_HOP_US),
+                StackKind::Rpc => (Version::All, RPC_UNTRACED_PER_HOP_US),
+            };
+            let img = self.image(stack, opts, warmup, version);
+            let client =
+                self.with_episodes(stack, opts, warmup, |eps, f_tx| client_half(eps, &img, f_tx));
+            let server = self.server_half(stack, opts, warmup, server_version);
+            MachineCell {
+                timing: Arc::new(client.roundtrip(&server, untraced_us)),
+                cold: Arc::new(client.cold),
+            }
+        })
+    }
+
+    /// The memoized server half: warm-up and measured server turn
+    /// against `server_version`'s image.
+    fn server_half(
+        &self,
+        stack: StackKind,
+        opts: StackOptions,
+        warmup: usize,
+        server_version: Version,
+    ) -> Arc<ServerHalf> {
+        self.server_halves.get_or_compute((stack, opts, warmup, server_version), || {
+            let img = self.image(stack, opts, warmup, server_version);
+            let half =
+                self.with_episodes(stack, opts, warmup, |eps, f_tx| server_half(eps, &img, f_tx));
+            Arc::new(half)
+        })
+    }
+
+    /// The memoized warm roundtrip timing (a projection of the cell).
     pub fn timing(
         &self,
         stack: StackKind,
@@ -615,34 +700,11 @@ impl SweepEngine {
         warmup: usize,
         version: Version,
     ) -> Arc<RoundtripTiming> {
-        self.timings.get_or_compute((stack, opts, warmup, version), || match stack {
-            StackKind::TcpIp => {
-                let sh = self.tcpip(opts, warmup);
-                let img = self.image(stack, opts, warmup, version);
-                Arc::new(time_roundtrip_with(
-                    &sh.run.episodes,
-                    &img,
-                    &img,
-                    sh.run.world.lance_model.f_tx,
-                    UNTRACED_PER_HOP_US,
-                ))
-            }
-            StackKind::Rpc => {
-                let sh = self.rpc(opts, warmup);
-                let client = self.image(stack, opts, warmup, version);
-                let server = self.image(stack, opts, warmup, Version::All);
-                Arc::new(time_roundtrip_with(
-                    &sh.run.episodes,
-                    &client,
-                    &server,
-                    sh.run.world.lance_model.f_tx,
-                    RPC_UNTRACED_PER_HOP_US,
-                ))
-            }
-        })
+        self.machine_cell(stack, opts, warmup, version).timing
     }
 
-    /// The memoized cold client cache statistics (Table 6).
+    /// The memoized cold client cache statistics (Table 6), a
+    /// projection of the same cell as [`SweepEngine::timing`].
     pub fn cold_stats(
         &self,
         stack: StackKind,
@@ -650,16 +712,7 @@ impl SweepEngine {
         warmup: usize,
         version: Version,
     ) -> Arc<RunReport> {
-        self.cold_stats.get_or_compute((stack, opts, warmup, version), || {
-            let img = self.image(stack, opts, warmup, version);
-            let report = match stack {
-                StackKind::TcpIp => {
-                    cold_client_stats(&self.tcpip(opts, warmup).run.episodes, &img)
-                }
-                StackKind::Rpc => cold_client_stats(&self.rpc(opts, warmup).run.episodes, &img),
-            };
-            Arc::new(report)
-        })
+        self.machine_cell(stack, opts, warmup, version).cold
     }
 
     /// The memoized client replay statistics: the out- and in-path of
@@ -675,18 +728,16 @@ impl SweepEngine {
         self.replay_stats.get_or_compute((stack, opts, warmup, version), || {
             let img = self.image(stack, opts, warmup, version);
             let rep = Replayer::new(&img);
-            let episodes = match stack {
-                StackKind::TcpIp => self.tcpip(opts, warmup).run.episodes.clone(),
-                StackKind::Rpc => self.rpc(opts, warmup).run.episodes.clone(),
-            };
-            let mut stats = rep
-                .replay_into(&episodes.client_out, &mut NullSink)
-                .expect("episode must replay cleanly");
-            let inn = rep
-                .replay_into(&episodes.client_in, &mut NullSink)
-                .expect("episode must replay cleanly");
-            stats.merge(&inn);
-            Arc::new(stats)
+            self.with_episodes(stack, opts, warmup, |episodes, _| {
+                let mut stats = rep
+                    .replay_into(&episodes.client_out, &mut NullSink)
+                    .expect("episode must replay cleanly");
+                let inn = rep
+                    .replay_into(&episodes.client_in, &mut NullSink)
+                    .expect("episode must replay cleanly");
+                stats.merge(&inn);
+                Arc::new(stats)
+            })
         })
     }
 
@@ -1014,8 +1065,9 @@ impl SweepEngine {
             runs: self.tcp_runs.computed() + self.rpc_runs.computed(),
             layouts: self.layouts.computed(),
             images: self.images.computed(),
-            timings: self.timings.computed(),
-            cold_stats: self.cold_stats.computed(),
+            timings: self.cells.computed(),
+            cold_stats: self.cells.computed(),
+            server_halves: self.server_halves.computed(),
             replay_stats: self.replay_stats.computed(),
             traffics: self.traffics.computed(),
             capacities: self.capacities.computed(),
@@ -1063,11 +1115,9 @@ impl SweepEngine {
             SweepJob::Layout(stack, opts, warmup, v) => {
                 self.layout(stack, opts, warmup, v);
             }
-            SweepJob::Timing(stack, opts, warmup, v) => {
-                self.timing(stack, opts, warmup, v);
-            }
-            SweepJob::ColdStats(stack, opts, warmup, v) => {
-                self.cold_stats(stack, opts, warmup, v);
+            SweepJob::Timing(stack, opts, warmup, v)
+            | SweepJob::ColdStats(stack, opts, warmup, v) => {
+                self.machine_cell(stack, opts, warmup, v);
             }
             SweepJob::ReplayStats(stack, opts, warmup, v) => {
                 self.client_replay_stats(stack, opts, warmup, v);
@@ -1096,19 +1146,14 @@ impl SweepEngine {
             for v in Version::all() {
                 jobs.push(SweepJob::Layout(stack, opts, warmup, v));
                 jobs.push(SweepJob::Timing(stack, opts, warmup, v));
-                jobs.push(SweepJob::ColdStats(stack, opts, warmup, v));
             }
         }
         self.prefetch(&jobs);
         let mut rows = Vec::new();
         for stack in [StackKind::TcpIp, StackKind::Rpc] {
             for version in Version::all() {
-                rows.push(SweepRow {
-                    stack,
-                    version,
-                    timing: self.timing(stack, opts, warmup, version),
-                    cold: self.cold_stats(stack, opts, warmup, version),
-                });
+                let MachineCell { timing, cold } = self.machine_cell(stack, opts, warmup, version);
+                rows.push(SweepRow { stack, version, timing, cold });
             }
         }
         rows

@@ -14,10 +14,16 @@
 //! observation that the §2.2.2 refresh saving does not show up in
 //! end-to-end latency.
 //!
-//! Timing runs are *warm*: each host's machine replays the roundtrip
-//! twice and the second pass is measured, so steady-state conflict
-//! misses (the BAD layout's recurring evictions) are charged while
-//! compulsory first-run misses are not.
+//! Timing runs are *warm*: the measured pass of each host follows a
+//! warm-up pass over the same episodes, so steady-state conflict misses
+//! (the BAD layout's recurring evictions) are charged while compulsory
+//! first-run misses are not.  On the client the warm-up pass is the cold
+//! Table-6 pass itself: a fresh machine replays the roundtrip through
+//! the full CPU + memory model, its report is the cold client statistics
+//! ([`cold_client_stats`]), and `reset_stats` then leaves exactly the
+//! warm caches a memory-only warm-up would ([`ClientHalf`]).  The server
+//! half ([`ServerHalf`]) depends only on the server image, so the sweep
+//! engine computes RPC's (always ALL) once for all six client versions.
 
 use alpha_machine::{InstRecord, Machine, RunReport};
 use kcode::events::EventStream;
@@ -162,11 +168,14 @@ impl InstSink for BoundaryMachineSink<'_> {
     }
 }
 
-/// Warm-up sink: streams the replay through the memory hierarchy only.
-/// The CPU issue model carries no state that survives `reset_stats`
+/// Warm-up sink for the server half: streams the replay through the
+/// memory hierarchy only.  The hierarchy never reads CPU state, and the
+/// CPU issue model carries no state that survives `reset_stats`
 /// (counters plus the dual-issue pairing buffer, all cleared), so
 /// skipping it during warm-up leaves the measured pass bit-identical
-/// while touching exactly the state that matters — the caches.
+/// while touching exactly the state that matters — the caches.  The
+/// client half needs no such sink: its warm-up is the full cold pass,
+/// whose report it keeps (see [`ClientHalf`]).
 struct WarmupSink<'m>(&'m mut Machine);
 
 impl InstSink for WarmupSink<'_> {
@@ -196,6 +205,115 @@ fn measured_episode(
     (m.report(instructions), pre_cycles)
 }
 
+/// The cold pass: client out + in streamed through the full CPU +
+/// memory model of `m`, which must be fresh (a fresh machine equals a
+/// `reset()` one).
+fn cold_pass(replayer: &Replayer, episodes: &RoundtripEpisodes, m: &mut Machine) -> RunReport {
+    let out = replayer
+        .replay_into_lean(&episodes.client_out, m)
+        .expect("episode must replay cleanly");
+    let inn = replayer
+        .replay_into_lean(&episodes.client_in, m)
+        .expect("episode must replay cleanly");
+    m.report(out + inn)
+}
+
+/// The client side of one cell, from one machine: the cold Table-6 pass
+/// followed by the measured warm pass.
+///
+/// The cold pass doubles as the timing warm-up.  After it,
+/// `reset_stats` leaves the machine exactly as a memory-only warm-up on
+/// a fresh machine would: the memory hierarchy never reads CPU state,
+/// and `reset_stats` clears everything the CPU model holds.
+#[derive(Debug, Clone, Copy)]
+pub struct ClientHalf {
+    /// Cold client statistics: what [`cold_client_stats`] reports.
+    pub cold: RunReport,
+    /// Warm measured reports.
+    pub client_out: RunReport,
+    pub client_in: RunReport,
+    /// Cycle count at the client-out transmit boundary.
+    pub out_pre_cycles: u64,
+}
+
+impl ClientHalf {
+    /// Compose this client half with a server half into the warm
+    /// roundtrip timing, charging `untraced_us` per hop.
+    pub fn roundtrip(&self, server: &ServerHalf, untraced_us: f64) -> RoundtripTiming {
+        compose_roundtrip(
+            self.client_out,
+            self.client_in,
+            server.server_turn,
+            self.out_pre_cycles,
+            server.pre_cycles,
+            client_image_clock(),
+            untraced_us,
+        )
+    }
+}
+
+/// The server side of one cell: a memory-only warm-up and the measured
+/// pass of the server turn.  It depends only on the server image, so
+/// cells that share one (RPC's six versions, all served by ALL) can
+/// share one half.
+#[derive(Debug, Clone, Copy)]
+pub struct ServerHalf {
+    pub server_turn: RunReport,
+    /// Cycle count at the server's transmit boundary.
+    pub pre_cycles: u64,
+}
+
+/// Simulate the client half of a roundtrip against `image`.
+pub fn client_half(episodes: &RoundtripEpisodes, image: &Image, f_tx: FuncId) -> ClientHalf {
+    let rep = Replayer::new(image);
+    let mut m = Machine::dec3000_600();
+    let cold = cold_pass(&rep, episodes, &mut m);
+    // The client-in episode needs no transmit boundary (its
+    // pre-transmit time is unused), so no ranges are tracked.
+    let out_ranges = func_ranges(image, f_tx);
+    let (client_out, out_pre_cycles) =
+        measured_episode(&rep, &episodes.client_out, &mut m, &out_ranges);
+    let (client_in, _) = measured_episode(&rep, &episodes.client_in, &mut m, &[]);
+    ClientHalf { cold, client_out, client_in, out_pre_cycles }
+}
+
+/// Simulate the server half of a roundtrip against `image`.
+pub fn server_half(episodes: &RoundtripEpisodes, image: &Image, f_tx: FuncId) -> ServerHalf {
+    let rep = Replayer::new(image);
+    let mut m = Machine::dec3000_600();
+    rep.replay_into_lean(&episodes.server_turn, &mut WarmupSink(&mut m))
+        .expect("episode must replay cleanly");
+    let ranges = func_ranges(image, f_tx);
+    let (server_turn, pre_cycles) =
+        measured_episode(&rep, &episodes.server_turn, &mut m, &ranges);
+    ServerHalf { server_turn, pre_cycles }
+}
+
+/// Both results the paper draws from one traced client roundtrip.
+#[derive(Debug, Clone)]
+pub struct CellTiming {
+    /// Warm roundtrip timing (Tables 4 and 7).
+    pub timing: RoundtripTiming,
+    /// Cold client cache statistics (Table 6).
+    pub cold: RunReport,
+}
+
+/// Warm timing and cold client statistics of one cell from a single
+/// client machine pass — what [`time_roundtrip_with`] and
+/// [`cold_client_stats`] compute, without simulating the cold client
+/// twice.
+pub fn time_cell(
+    episodes: &RoundtripEpisodes,
+    client_image: &Image,
+    server_image: &Image,
+    f_tx: FuncId,
+    untraced_us: f64,
+) -> CellTiming {
+    let client = client_half(episodes, client_image, f_tx);
+    let server = server_half(episodes, server_image, f_tx);
+    CellTiming { timing: client.roundtrip(&server, untraced_us), cold: client.cold }
+}
+
 /// Time one roundtrip: client episodes against `client_image`, server
 /// turn against `server_image` (normally the same version for TCP/IP;
 /// always ALL for the RPC server per the paper's methodology).
@@ -211,11 +329,11 @@ pub fn time_roundtrip(
 /// [`time_roundtrip`] with an explicit untraced-per-hop constant (the
 /// RPC stack uses [`RPC_UNTRACED_PER_HOP_US`]).
 ///
-/// Fused streaming implementation: both the warm-up and the measured
-/// pass feed the replayer's instruction stream straight into the
-/// machine models — no trace vector is ever allocated.  Produces
-/// bit-identical results to [`time_roundtrip_materialized`] (asserted
-/// by the `fused_matches_materialized` test).
+/// Fused streaming implementation: every pass feeds the replayer's
+/// instruction stream straight into the machine models — no trace
+/// vector is ever allocated.  Produces bit-identical results to
+/// [`time_roundtrip_materialized`] (asserted by the
+/// `fused_matches_materialized` test).
 pub fn time_roundtrip_with(
     episodes: &RoundtripEpisodes,
     client_image: &Image,
@@ -223,36 +341,7 @@ pub fn time_roundtrip_with(
     f_tx: FuncId,
     untraced_us: f64,
 ) -> RoundtripTiming {
-    let client_rep = Replayer::new(client_image);
-    let server_rep = Replayer::new(server_image);
-    let out_ranges = func_ranges(client_image, f_tx);
-    let server_ranges = func_ranges(server_image, f_tx);
-
-    let clock = client_image_clock();
-    let mut client_m = Machine::dec3000_600();
-    let mut server_m = Machine::dec3000_600();
-
-    // Warm-up pass: stream the roundtrip through the memory hierarchies
-    // once so the measured pass sees steady-state caches.
-    client_rep
-        .replay_into_lean(&episodes.client_out, &mut WarmupSink(&mut client_m))
-        .expect("episode must replay cleanly");
-    client_rep
-        .replay_into_lean(&episodes.client_in, &mut WarmupSink(&mut client_m))
-        .expect("episode must replay cleanly");
-    server_rep
-        .replay_into_lean(&episodes.server_turn, &mut WarmupSink(&mut server_m))
-        .expect("episode must replay cleanly");
-
-    // Measured pass.  The client-in episode needs no transmit boundary
-    // (its pre-transmit time is unused), so no ranges are tracked.
-    let (client_out, out_pre_cycles) =
-        measured_episode(&client_rep, &episodes.client_out, &mut client_m, &out_ranges);
-    let (client_in, _) = measured_episode(&client_rep, &episodes.client_in, &mut client_m, &[]);
-    let (server_turn, server_pre_cycles) =
-        measured_episode(&server_rep, &episodes.server_turn, &mut server_m, &server_ranges);
-
-    compose_roundtrip(client_out, client_in, server_turn, out_pre_cycles, server_pre_cycles, clock, untraced_us)
+    time_cell(episodes, client_image, server_image, f_tx, untraced_us).timing
 }
 
 /// Reference implementation of [`time_roundtrip_with`] over
@@ -335,17 +424,10 @@ fn client_image_clock() -> f64 {
 /// Cold, trace-driven client-side cache statistics — the methodology of
 /// the paper's Table 6 (one traced roundtrip through a cache simulator
 /// with empty caches).  Streams the replay straight into the machine.
+/// This is the cold pass of [`client_half`]; use [`time_cell`] when the
+/// warm timing of the same cell is wanted too.
 pub fn cold_client_stats(episodes: &RoundtripEpisodes, image: &Image) -> RunReport {
-    let rep = Replayer::new(image);
-    let mut m = Machine::dec3000_600();
-    m.reset();
-    let out = rep
-        .replay_into_lean(&episodes.client_out, &mut m)
-        .expect("episode must replay cleanly");
-    let inn = rep
-        .replay_into_lean(&episodes.client_in, &mut m)
-        .expect("episode must replay cleanly");
-    m.report(out + inn)
+    cold_pass(&Replayer::new(image), episodes, &mut Machine::dec3000_600())
 }
 
 /// Materialized-Vec reference for [`cold_client_stats`], kept for the
@@ -492,6 +574,8 @@ mod tests {
             let cold = cold_client_stats(&run.episodes, &img);
             let cold_ref = cold_client_stats_materialized(&run.episodes, &img);
             assert_eq!(cold, cold_ref, "{} cold stats", v.name());
+            let cell = time_cell(&run.episodes, &img, &img, f_tx, UNTRACED_PER_HOP_US);
+            assert_eq!(cell.cold, cold_ref, "{} one-pass cold stats", v.name());
         }
     }
 

@@ -5,7 +5,10 @@
 use protolat_core::config::{StackKind, Version};
 use protolat_core::harness::run_tcpip;
 use protolat_core::sweep::{SweepEngine, SweepJob};
-use protolat_core::timing::{time_roundtrip_with, RoundtripTiming, UNTRACED_PER_HOP_US};
+use protolat_core::timing::{
+    cold_client_stats_materialized, time_roundtrip_materialized, time_roundtrip_with,
+    RoundtripTiming, RPC_UNTRACED_PER_HOP_US, UNTRACED_PER_HOP_US,
+};
 use protolat_core::world::TcpIpWorld;
 use protocols::StackOptions;
 
@@ -115,4 +118,52 @@ fn prefetch_deduplicates_overlapping_jobs() {
     assert_eq!(c.timings, 1);
     assert_eq!(c.cold_stats, 1);
     assert_eq!(c.replay_stats, 1);
+}
+
+#[test]
+fn sweep_cells_match_materialized_oracle() {
+    // Every cell of the canonical sweep — RPC's split client/server
+    // images included — against the materialized pipeline: warm timing
+    // from `time_roundtrip_materialized`, cold statistics from
+    // `cold_client_stats_materialized`.
+    let eng = SweepEngine::new();
+    let opts = StackOptions::improved();
+    let rows = eng.sweep(opts, 2);
+    assert_eq!(rows.len(), 12);
+    for row in &rows {
+        let (episodes, f_tx) = match row.stack {
+            StackKind::TcpIp => {
+                let sh = eng.tcpip(opts, 2);
+                (sh.run.episodes.clone(), sh.run.world.lance_model.f_tx)
+            }
+            StackKind::Rpc => {
+                let sh = eng.rpc(opts, 2);
+                (sh.run.episodes.clone(), sh.run.world.lance_model.f_tx)
+            }
+        };
+        let (server_version, untraced_us) = match row.stack {
+            StackKind::TcpIp => (row.version, UNTRACED_PER_HOP_US),
+            StackKind::Rpc => (Version::All, RPC_UNTRACED_PER_HOP_US),
+        };
+        let client = eng.image(row.stack, opts, 2, row.version);
+        let server = eng.image(row.stack, opts, 2, server_version);
+        let what = format!("{:?}/{}", row.stack, row.version.name());
+        let oracle = time_roundtrip_materialized(&episodes, &client, &server, f_tx, untraced_us);
+        assert_timing_eq(&row.timing, &oracle, &what);
+        let cold = cold_client_stats_materialized(&episodes, &client);
+        assert_eq!(*row.cold, cold, "{what}: cold stats");
+    }
+}
+
+#[test]
+fn server_halves_are_shared_across_rpc_versions() {
+    let eng = SweepEngine::new();
+    let opts = StackOptions::improved();
+    eng.sweep(opts, 2);
+    let c = eng.counters();
+    assert_eq!(c.timings, 12);
+    assert_eq!(c.cold_stats, 12);
+    assert_eq!(c.server_halves, 7, "6 TCP/IP servers + RPC's one ALL server");
+    eng.sweep(opts, 2);
+    assert_eq!(eng.counters(), c, "a second sweep computes nothing");
 }

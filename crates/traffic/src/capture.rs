@@ -536,7 +536,7 @@ impl TraceStream {
     }
 
     /// Override the executor count for replay.  Results must not
-    /// change — the point of the probe in `trace_bench`.
+    /// change — the point of the probe in the `bench trace` suite.
     pub fn with_executors(mut self, executors: u32) -> Self {
         self.cfg.executors = executors;
         self

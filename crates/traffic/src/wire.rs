@@ -13,7 +13,7 @@
 //! The wire layer adds no modelled nanoseconds and consumes no RNG
 //! draws of its own, so for a fixed configuration the three paths
 //! produce bit-identical latency reports; the real encode/parse cost
-//! is what `wire_bench` measures.
+//! is what the `bench wire` suite measures.
 
 use netsim::buf::{BufPool, PktBuf, PoolStats};
 use netsim::{Fate, Ns};
@@ -32,7 +32,7 @@ pub enum WirePath {
     /// Zero-copy: pooled recycled buffers, in-place header views.
     ZeroCopy,
     /// Copy-and-materialize reference codec (the equivalence twin and
-    /// the cost baseline `wire_bench` compares against).
+    /// the cost baseline the `bench wire` suite compares against).
     Reference,
 }
 

@@ -13,7 +13,7 @@
 //! ```
 
 use protolat::core::harness::run_tcpip;
-use protolat::core::timing::{cold_client_stats, time_roundtrip};
+use protolat::core::timing::{time_cell, UNTRACED_PER_HOP_US};
 use protolat::core::world::TcpIpWorld;
 use protolat::kcode::layout::{build_image, LayoutRequest, LayoutStrategy};
 use protolat::kcode::ImageConfig;
@@ -50,8 +50,8 @@ fn main() {
             )
             .with_canonical(&canonical),
         );
-        let t = time_roundtrip(&run.episodes, &img, &img, f_tx);
-        let cold = cold_client_stats(&run.episodes, &img);
+        let cell = time_cell(&run.episodes, &img, &img, f_tx, UNTRACED_PER_HOP_US);
+        let (t, cold) = (cell.timing, cell.cold);
         println!(
             "{:<11} {:>9.1} {:>9.1} {:>6.2} {:>7} {:>7}",
             name,

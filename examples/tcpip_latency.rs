@@ -7,7 +7,7 @@
 
 use protolat::core::config::Version;
 use protolat::core::harness::run_tcpip;
-use protolat::core::timing::{cold_client_stats, time_roundtrip};
+use protolat::core::timing::{time_cell, UNTRACED_PER_HOP_US};
 use protolat::core::world::TcpIpWorld;
 use protolat::protocols::StackOptions;
 
@@ -24,8 +24,8 @@ fn main() {
     );
     for v in Version::all() {
         let img = v.build_tcpip(&run.world, &canonical);
-        let t = time_roundtrip(&run.episodes, &img, &img, f_tx);
-        let cold = cold_client_stats(&run.episodes, &img);
+        let cell = time_cell(&run.episodes, &img, &img, f_tx, UNTRACED_PER_HOP_US);
+        let (t, cold) = (cell.timing, cell.cold);
         println!(
             "{:<5} {:>9.1} {:>9.1} {:>8} {:>6.2} {:>6.2}   {:>6} {:>6} {:>6}",
             v.name(),
